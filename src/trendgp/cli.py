@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit the model and write a report directory")
-    p_fit.add_argument("input", help="CSV file with header t,y")
+    p_fit.add_argument("input", help="CSV file with header t,y (or date,new_positives)")
     p_fit.add_argument("--out", required=True, help="output directory")
     _add_model_args(p_fit)
     p_fit.set_defaults(func=cmd_fit)

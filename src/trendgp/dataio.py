@@ -2,7 +2,8 @@
 
 Input series use a two-column `t,y` layout where t is either a number or
 an ISO-8601 date (converted to fractional years); rows with a blank y are
-dropped, which is how missing survey years are represented.
+dropped, which is how missing survey years are represented.  The
+`date,new_positives` layout that `fetch_covid` writes is read the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ DEFAULT_COVID_URL = (
 COVID_URL_ENV = "TRENDGP_COVID_URL"
 _COVID_DATE_COL = "data"
 _COVID_VALUE_COL = "nuovi_positivi"
+# Accepted (time, outcome) headers: the plain layout and fetch_covid's output.
+_SERIES_HEADERS = (["t", "y"], ["date", "new_positives"])
 
 
 class DataFormatError(ValueError):
@@ -58,7 +61,10 @@ def _parse_time(raw: str, row: int) -> float:
 
 
 def read_timeseries(path: str) -> tuple[Dataset, str]:
-    """Read a `t,y` CSV; returns the dataset and the file's sha256 digest."""
+    """Read a `t,y` or `date,new_positives` CSV.
+
+    Returns the dataset and the file's sha256 digest.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -67,8 +73,8 @@ def read_timeseries(path: str) -> tuple[Dataset, str]:
     if not rows:
         raise DataFormatError("empty input file")
     header = [c.strip().lower() for c in rows[0]]
-    if header[:2] != ["t", "y"]:
-        raise DataFormatError(f"expected header 't,y', got {rows[0]!r}")
+    if header[:2] not in _SERIES_HEADERS:
+        raise DataFormatError(f"expected header 't,y' or 'date,new_positives', got {rows[0]!r}")
     ts, ys = [], []
     for i, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):

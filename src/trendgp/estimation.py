@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 from scipy.stats import norm as _norm, t as _t
 
 from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval, require_assumptions
 from .posterior import Dataset, FactorizationError, Hyperparams, _chol, marginal_moments
-from .indices import _gauss_upper, _local_eti_from_moments
+from .indices import _gauss_upper, _local_eti_from_moments, _simpson_weights
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -197,39 +197,85 @@ class _ModelSpace:
 # marginal likelihood
 
 
+class _Likelihood:
+    """The Gaussian marginal likelihood of one dataset, evaluated per theta.
+
+    Every kernel is stationary, so the Gram matrix depends on the times only
+    through the lags |t_i - t_j|.  The distinct lags and the index that maps
+    them back onto the n x n matrix, the GLS design matrix and the LAPACK
+    triangular solver are fixed per dataset; an evaluation computes the
+    kernel once per distinct lag, gathers, factorizes and whitens.  Equally
+    spaced times give O(n) distinct lags instead of n^2 entries.  The values
+    match the dense assembly and scipy's `solve_triangular` bit for bit.
+    """
+
+    def __init__(self, data: Dataset, degree: int):
+        ts = data.ts
+        lags, index = np.unique(np.abs(ts[:, None] - ts[None, :]).ravel(), return_inverse=True)
+        self.data = data
+        self.lags = lags
+        self._index = index.reshape(data.n, data.n)
+        self.design = np.vander(ts, degree + 1, increasing=True)
+        # scipy checks its right-hand sides on every solve; y and X do not
+        # depend on theta, so they are checked here once.
+        self._finite = bool(np.all(np.isfinite(self.design)) and np.all(np.isfinite(data.ys)))
+        (self._trtrs,) = get_lapack_funcs(("trtrs",), (self.design,))
+
+    def gram(self, kernel: KernelSpec) -> np.ndarray:
+        """kernel_gram(kernel, ts, ts), evaluated once per distinct lag."""
+        return kernel_gram(kernel, self.lags, [0.0]).ravel()[self._index]
+
+    def factor(self, kernel: KernelSpec, sigma: float) -> np.ndarray:
+        """Lower Cholesky factor of the Gram plus sigma^2 I."""
+        K = self.gram(kernel)
+        K.reshape(-1)[:: self.data.n + 1] += sigma**2
+        return _chol(K, kernel.alpha**2)
+
+    def _whiten(self, L: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # L^{-1} b, as scipy's solve_triangular(L, b, lower=True) solves it
+        # for a C-ordered L: the transposed upper system through trtrs.
+        x, info = self._trtrs(L.T, b, lower=False, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        return x
+
+    def _loglik(self, L: np.ndarray, white: np.ndarray) -> float:
+        n = self.data.n
+        return float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
+
+    def marginal_loglik(self, theta: Hyperparams) -> float:
+        """Log density of the observations under theta; see `marginal_loglik`."""
+        require_assumptions(theta.kernel, require_eti=False)
+        if self.data.n == 0:
+            return 0.0
+        L = self.factor(theta.kernel, theta.sigma)
+        resid = self.data.ys - mean_eval(theta.mean, 0, self.data.ts)
+        if not np.all(np.isfinite(resid)):
+            raise ValueError("array must not contain infs or NaNs")
+        return self._loglik(L, self._whiten(L, resid))
+
+    def profile_mll(self, kernel: KernelSpec, sigma: float):
+        """Profile marginal log likelihood: mean coefficients replaced by GLS.
+
+        Returns (loglik, betas); the GLS coefficients maximize the marginal
+        likelihood exactly for fixed kernel and noise parameters.
+        """
+        L = self.factor(kernel, sigma)
+        if not self._finite:
+            raise ValueError("array must not contain infs or NaNs")
+        Xw = self._whiten(L, self.design)
+        yw = self._whiten(L, self.data.ys)
+        betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+        return self._loglik(L, yw - Xw @ betas), tuple(betas)
+
+
 def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
     """Log density of the observations with the latent GP integrated out.
 
     Includes the -(n/2) log 2 pi constant, so the value matches a direct
     multivariate-normal log density evaluation.
     """
-    require_assumptions(theta.kernel, require_eti=False)
-    n = data.n
-    if n == 0:
-        return 0.0
-    K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(n)
-    L = _chol(K, theta.kernel.alpha**2)
-    resid = data.ys - mean_eval(theta.mean, 0, data.ts)
-    white = solve_triangular(L, resid, lower=True)
-    return float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
-
-
-def _profile_mll(data: Dataset, space: _ModelSpace, kernel: KernelSpec, sigma: float):
-    """Profile marginal log likelihood: mean coefficients replaced by GLS.
-
-    Returns (loglik, betas); the GLS coefficients maximize the marginal
-    likelihood exactly for fixed kernel and noise parameters.
-    """
-    n = data.n
-    K = kernel_gram(kernel, data.ts, data.ts) + sigma**2 * np.eye(n)
-    L = _chol(K, kernel.alpha**2)
-    X = np.vander(data.ts, space.degree + 1, increasing=True)
-    Xw = solve_triangular(L, X, lower=True)
-    yw = solve_triangular(L, data.ys, lower=True)
-    betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-    white = yw - Xw @ betas
-    ll = float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
-    return ll, tuple(betas)
+    return _Likelihood(data, theta.mean.degree).marginal_loglik(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +346,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     opts = opts or FitOptions()
     space = _ModelSpace(degree, family)
     require_assumptions(KernelSpec(family, 1.0, 1.0, 1.0 if family == "RQ" else None))
+    lik = _Likelihood(data, space.degree)
 
     kernel_dims = ["alpha", "rho"] + (["nu"] if family == "RQ" else []) + ["sigma"]
 
@@ -309,7 +356,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
             return math.inf
         try:
             kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-            ll, _ = _profile_mll(data, space, kernel, values["sigma"])
+            ll, _ = lik.profile_mll(kernel, values["sigma"])
         except (FactorizationError, ValueError, OverflowError):
             return math.inf
         return -ll if np.isfinite(ll) else math.inf
@@ -342,7 +389,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     _, z_best, converged = best
     values = {n: math.exp(v) for n, v in zip(kernel_dims, z_best)}
     kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-    ll, betas = _profile_mll(data, space, kernel, values["sigma"])
+    ll, betas = lik.profile_mll(kernel, values["sigma"])
     theta = Hyperparams(MeanSpec(betas), kernel, values["sigma"])
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:
@@ -410,14 +457,8 @@ class McmcSamples:
         values.update({n: float(v) for n, v in zip(self.param_names, self.draws[chain, i])})
         return space.theta(values)
 
-    def flat_thetas(self):
-        """All kept draws as Hyperparams, chains concatenated."""
-        for c in range(self.n_chains):
-            for i in range(self.n_kept):
-                yield self.theta_at(c, i)
 
-
-def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixed: dict, sampled: list):
+def _log_posterior_fn(lik: _Likelihood, space: _ModelSpace, priors: PriorSpec, fixed: dict, sampled: list):
     positive = space.positive
 
     def log_post(x: np.ndarray) -> float:
@@ -437,7 +478,7 @@ def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixe
             return -math.inf
         try:
             theta = space.theta(values)
-            ll = marginal_loglik(data, theta)
+            ll = lik.marginal_loglik(theta)
         except (FactorizationError, ValueError, OverflowError):
             return -math.inf
         return lp + ll if np.isfinite(ll) else -math.inf
@@ -474,7 +515,7 @@ def fit_bayes(
     for name in sampled:
         priors.for_param(name)  # raises when a prior is missing
 
-    log_post = _log_posterior_fn(data, space, priors, dict(opts.fixed), sampled)
+    log_post = _log_posterior_fn(_Likelihood(data, degree), space, priors, dict(opts.fixed), sampled)
     d = len(sampled)
     warmup = opts.iters // 2
     kept = opts.iters - warmup
@@ -618,13 +659,6 @@ class IndexPosterior:
         return {tau: float(np.quantile(draws, tau)) for tau in taus}
 
 
-def _simpson_weights(n_quad: int) -> np.ndarray:
-    w = np.ones(n_quad + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 def index_posterior(
     data: Dataset,
     samples: McmcSamples,
@@ -651,6 +685,7 @@ def index_posterior(
     intervals = [tuple(float(v) for v in iv) for iv in intervals]
     quad_nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals]
     all_points = np.concatenate([grid] + quad_nodes) if (want_eti and quad_nodes) else grid
+    w = _simpson_weights(n_quad) / 3.0
 
     total = samples.n_chains * samples.n_kept
     stride = max(1, math.ceil(total / max_draws))
@@ -674,7 +709,6 @@ def index_posterior(
             if intervals:
                 row = []
                 offset = grid.size
-                w = _simpson_weights(n_quad)
                 for (a, b) in intervals:
                     h = (b - a) / n_quad if b > a else 0.0
                     seg = rate[offset : offset + n_quad + 1]

@@ -140,6 +140,14 @@ def local_eti_curve(data: Dataset, theta: Hyperparams, grid) -> tuple[np.ndarray
     return grid, rate
 
 
+def _simpson_weights(n_quad: int) -> np.ndarray:
+    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n_quad panels."""
+    w = np.ones(n_quad + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
     """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
     a, b = float(interval[0]), float(interval[1])
@@ -155,10 +163,7 @@ def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float
     mm = marginal_moments(data, theta, nodes, need_d2f=True)
     rate, _, _, _ = _local_eti_from_moments(mm)
     h = (b - a) / n_quad
-    weights = np.ones(n_quad + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, rate))
+    return float(h / 3.0 * np.dot(_simpson_weights(n_quad), rate))
 
 
 def count_crossings(df_path, grid=None) -> CrossingProcess:

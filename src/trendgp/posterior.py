@@ -25,17 +25,17 @@ from .kernels import (
     MeanSpec,
     kernel_gram,
     mean_eval,
-    validate_assumptions,
+    require_assumptions,
 )
 
 BLOCK_ORDER = ("f", "df", "d2f")
 _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
 
-# Jitter ladder for factorizations, in units of alpha^2 (plus sigma^2 where
-# it already sits on the diagonal).  The first rung is the documented
-# 1e-10 * alpha^2 safeguard; later rungs only trigger for genuinely
-# degenerate inputs.
-_JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+# Jitter ladder for factorizations that fail without one, in units of
+# alpha^2 (plus sigma^2 where it already sits on the diagonal).  The first
+# rung is the documented 1e-10 * alpha^2 safeguard; later rungs only trigger
+# for genuinely degenerate inputs.
+_JITTERS = (1e-10, 1e-8, 1e-6)
 
 
 class FactorizationError(RuntimeError):
@@ -133,12 +133,6 @@ class MarginalMoments:
     cov_df_d2f: np.ndarray | None = None
 
 
-def _reject_inadmissible(kernel: KernelSpec) -> None:
-    violation = validate_assumptions(kernel, require_eti=False)
-    if violation is not None:
-        raise AssumptionError(str(violation))
-
-
 def _auto_blocks(kernel: KernelSpec) -> tuple[str, ...]:
     return BLOCK_ORDER[: kernel.max_order() + 1]
 
@@ -162,10 +156,14 @@ def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
 def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise FactorizationError("covariance matrix contains non-finite entries")
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
     eye = np.eye(mat.shape[0])
     for jit in _JITTERS:
         try:
-            return np.linalg.cholesky(mat + jit * scale * eye if jit else mat)
+            return np.linalg.cholesky(mat + jit * scale * eye)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
@@ -181,7 +179,7 @@ class _Conditioned:
     """
 
     def __init__(self, data: Dataset, theta: Hyperparams):
-        _reject_inadmissible(theta.kernel)
+        require_assumptions(theta.kernel, require_eti=False)
         self.data = data
         self.theta = theta
 

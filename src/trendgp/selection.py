@@ -68,34 +68,33 @@ class SelectionResult:
         return tuple(rows)
 
 
-def _fold_fit(data: Dataset, degree: int, family: str, opts: FitOptions) -> FitResult:
-    return fit_ml(data, degree, family, opts)
-
-
 def loo_mspe(
     data: Dataset,
     degree: int,
     family: str,
     opts: FitOptions | None = None,
     fixed_theta: Hyperparams | None = None,
+    full_fit: FitResult | None = None,
 ) -> float:
     """Leave-one-out mean squared error of prediction.
 
-    Each fold refits the ML optimum without observation i and predicts the
-    latent mean at t_i.  With `fixed_theta` the refits are skipped and the
-    given hyper-parameters are used in every fold (useful for hand checks).
+    Each fold refits the ML optimum without observation i, warm-started from
+    the full-data fit, and predicts the latent mean at t_i.  A caller that
+    already holds `fit_ml(data, degree, family, opts)` passes it as
+    `full_fit`.  With `fixed_theta` the refits are skipped and the given
+    hyper-parameters are used in every fold (useful for hand checks).
     """
     if data.n < 4:
         raise ValueError(f"leave-one-out scoring needs n >= 4 observations, got {data.n}")
     opts = opts or FitOptions()
     fold_opts = opts
     if fixed_theta is None:
-        full = _fold_fit(data, degree, family, opts)
+        full = full_fit if full_fit is not None else fit_ml(data, degree, family, opts)
         fold_opts = replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
     errors = np.empty(data.n)
     for i in range(data.n):
         rest = Dataset(np.delete(data.ts, i), np.delete(data.ys, i))
-        theta = fixed_theta if fixed_theta is not None else _fold_fit(rest, degree, family, fold_opts).theta
+        theta = fixed_theta if fixed_theta is not None else fit_ml(rest, degree, family, fold_opts).theta
         pred = marginal_moments(rest, theta, [data.ts[i]]).mu_f[0]
         errors[i] = (data.ys[i] - pred) ** 2
     return float(errors.mean())
@@ -127,7 +126,7 @@ def osa_mspe(
         if fixed_theta is not None:
             theta = fixed_theta
         else:
-            fit = _fold_fit(head, degree, family, replace(fold_opts, warm_theta=warm))
+            fit = fit_ml(head, degree, family, replace(fold_opts, warm_theta=warm))
             theta = fit.theta
             warm = theta
         pred = marginal_moments(head, theta, [data.ts[k]]).mu_f[0]
@@ -159,7 +158,8 @@ def select_model(
             substituted = full.substituted_from == "RQ"
             eff_family = "SE" if substituted else family
             if scheme == "loo":
-                mspe = loo_mspe(data, degree, eff_family, opts)
+                # an RQ fit whose nu diverged already holds the SE refit
+                mspe = loo_mspe(data, degree, eff_family, opts, full_fit=full)
             else:
                 mspe = osa_mspe(data, degree, eff_family, min_train, opts)
             scores.append(CandidateScore(degree, family, mspe, substituted, failed=False))

@@ -195,6 +195,7 @@ def test_c5_eti_monte_carlo_oracle():
                f"{worst_rel:.3f} (limit 0.05); upper bound held; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c6_table1_partial_reproduction():
     start = time.time()
     scenario = Scenario(n=50, sigma=0.1, reps=500, seed=20240901)
@@ -247,6 +248,7 @@ def test_c7_marginal_likelihood_and_fit_invariant():
                f"{n_fits} fits all dominated their restarts")
 
 
+@pytest.mark.slow
 def test_c8_bayesian_sanity():
     start = time.time()
     # prior recovery: alpha pinned near zero and a large fixed noise SD make
@@ -317,6 +319,7 @@ def test_c9_transform_invariance():
                "MC pathway within 3 MC SE")
 
 
+@pytest.mark.slow
 def test_c10_model_selection_contract(tmp_path):
     # (a) noise-free linear data: the linear-mean candidate wins one-step-ahead
     ts = np.linspace(0, 4, 10)

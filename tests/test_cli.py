@@ -294,6 +294,25 @@ class TestFetchCovid:
         assert sidecar["n_rows"] == 90
         assert sidecar["first_date"] == "2020-02-24"
 
+    def test_output_feeds_fit(self, tmp_path, capsys):
+        out = tmp_path / "covid.csv"
+        code, _ = _run(["fetch-covid", "--out", str(out), "--offline", "--fixture", FIXTURE])
+        assert code == 0
+        # the same rows in the plain t,y layout read as the same series
+        plain = tmp_path / "plain.csv"
+        rows = list(csv.reader(open(out)))
+        with open(plain, "w", newline="") as fh:
+            csv.writer(fh).writerows([["t", "y"]] + rows[1:])
+        fetched, _ = read_timeseries(str(out))
+        expected, _ = read_timeseries(str(plain))
+        assert np.array_equal(fetched.ts, expected.ts) and np.array_equal(fetched.ys, expected.ys)
+        code, _ = _run(["fit", str(out), "--out", str(tmp_path / "run"), "--model", "0:SE",
+                        "--transform", "log", "--restarts", "4", "--grid", "40"])
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["model"]["kernel_family"] == "SE"
+        assert report["model"]["transform"] == "log"
+
     def test_missing_column_exits_6(self, tmp_path, capsys):
         broken = tmp_path / "broken.csv"
         with open(FIXTURE) as fh:
