@@ -26,6 +26,7 @@ from .posterior import (
     FactorizationError,
     Hyperparams,
     JointPosterior,
+    Posterior,
     joint_posterior,
     marginal_moments,
     predictive,

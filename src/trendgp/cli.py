@@ -122,9 +122,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tdi(args) -> int:
-    data, digest = read_timeseries(args.input)
-    config = _config_from_args(args)
-    report = run_fit(data, config, digest)
+    args.no_eti = True  # the query prints TDI only, so ETI is never computed
+    data, config, report = _load_and_run(args)
     payload = report.payload
     grid = payload["grid"]
     curve = payload["curves"]["tdi"]

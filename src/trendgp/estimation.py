@@ -13,7 +13,7 @@ prior x marginal likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -21,8 +21,8 @@ from scipy.optimize import minimize
 from scipy.stats import norm as _norm, t as _t
 
 from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval, require_assumptions
-from .posterior import Dataset, FactorizationError, Hyperparams, _chol, marginal_moments
-from .indices import _gauss_upper, _local_eti_from_moments, _simpson_weights
+from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol
+from .indices import _gauss_upper, _local_eti_from_moments, _simpson
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -647,12 +647,27 @@ class QuantileCurve:
 
 
 @dataclass(frozen=True)
+class DrawMoments:
+    """Grid moments of f and df, one row per draw whose factorization succeeded.
+
+    Rows follow the thinned draw order; `noise_var` holds each draw's sigma**2.
+    """
+
+    mu_f: np.ndarray  # (draws, p)
+    var_f: np.ndarray
+    mu_df: np.ndarray
+    var_df: np.ndarray
+    noise_var: np.ndarray  # (draws,)
+
+
+@dataclass(frozen=True)
 class IndexPosterior:
     tdi: QuantileCurve
     local_eti: QuantileCurve | None
     eti_draws: dict
     skipped_fraction: float
     n_used: int
+    level: DrawMoments
 
     def eti_quantiles(self, interval, taus=(0.025, 0.5, 0.975)) -> dict:
         draws = self.eti_draws[tuple(float(v) for v in interval)]
@@ -671,11 +686,15 @@ def index_posterior(
 ) -> IndexPosterior:
     """Push MCMC draws through the trend indices and summarize by quantiles.
 
-    Draws where assumption A4 fails at some evaluation point are skipped and
-    counted.  For families without a curvature process only the TDI is
-    summarized.
+    The one pass over the thinned draws: each draw is conditioned once and
+    evaluated once on the grid and the quadrature nodes together.  Draws
+    where assumption A4 fails at some evaluation point are skipped and
+    counted, but their grid moments are kept in `level` when the
+    factorization itself succeeded.  For families without a curvature
+    process only the TDI is summarized.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    p = grid.size
     taus = tuple(sorted(taus))
     want_eti = KernelSpec(
         samples.family, 1.0, 1.0, 1.0 if samples.family == "RQ" else None
@@ -685,34 +704,39 @@ def index_posterior(
     intervals = [tuple(float(v) for v in iv) for iv in intervals]
     quad_nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals]
     all_points = np.concatenate([grid] + quad_nodes) if (want_eti and quad_nodes) else grid
-    w = _simpson_weights(n_quad) / 3.0
 
     total = samples.n_chains * samples.n_kept
     stride = max(1, math.ceil(total / max_draws))
     picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
 
+    level = DrawMoments(*(np.empty((len(picks), p)) for _ in range(4)), np.empty(len(picks)))
+    n_level = 0
     tdi_rows, eti_rows, eti_int_rows = [], [], []
-    skipped = 0
     for c, i in picks:
         theta = samples.theta_at(c, i)
         try:
-            mm = marginal_moments(data, theta, all_points, need_d2f=want_eti)
-            tdi_vals = _gauss_upper(mm.mu_df[: grid.size], mm.var_df[: grid.size])
+            mm = Posterior(data, theta).marginal(all_points, need_d2f=want_eti)
+        except (AssumptionError, FactorizationError):
+            continue
+        level.mu_f[n_level], level.var_f[n_level] = mm.mu_f[:p], mm.var_f[:p]
+        level.mu_df[n_level], level.var_df[n_level] = mm.mu_df[:p], mm.var_df[:p]
+        level.noise_var[n_level] = theta.sigma**2
+        n_level += 1
+        try:
+            tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
             if want_eti:
                 rate, _, _, _ = _local_eti_from_moments(mm)
-        except (AssumptionError, FactorizationError):
-            skipped += 1
+        except AssumptionError:
             continue
         tdi_rows.append(tdi_vals)
         if want_eti:
-            eti_rows.append(rate[: grid.size])
+            eti_rows.append(rate[:p])
             if intervals:
                 row = []
-                offset = grid.size
+                offset = p
                 for (a, b) in intervals:
                     h = (b - a) / n_quad if b > a else 0.0
-                    seg = rate[offset : offset + n_quad + 1]
-                    row.append(h * float(np.dot(w, seg)))
+                    row.append(_simpson(rate[offset : offset + n_quad + 1], h))
                     offset += n_quad + 1
                 eti_int_rows.append(row)
     if not tdi_rows:
@@ -732,6 +756,7 @@ def index_posterior(
         tdi=tdi_q,
         local_eti=local_q,
         eti_draws=eti_draws,
-        skipped_fraction=skipped / len(picks),
+        skipped_fraction=(len(picks) - len(tdi_rows)) / len(picks),
         n_used=len(tdi_rows),
+        level=DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))),
     )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erf
 
 from .kernels import AssumptionError, require_assumptions
-from .posterior import Dataset, Hyperparams, MarginalMoments, joint_posterior, marginal_moments, sample_paths
+from .posterior import Dataset, Hyperparams, MarginalMoments, Posterior, joint_posterior, marginal_moments, sample_paths
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -140,16 +140,16 @@ def local_eti_curve(data: Dataset, theta: Hyperparams, grid) -> tuple[np.ndarray
     return grid, rate
 
 
-def _simpson_weights(n_quad: int) -> np.ndarray:
-    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n_quad panels."""
-    w = np.ones(n_quad + 1)
+def _simpson(rate: np.ndarray, h: float) -> float:
+    """Composite Simpson integral of rate sampled at spacing h (even panel count)."""
+    w = np.ones(rate.size)  # 1, 4, 2, ..., 2, 4, 1
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w
+    return float(h / 3.0 * np.dot(w, rate))
 
 
-def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
-    """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
+def _eti(post: Posterior, interval, n_quad: int = 512) -> float:
+    """`eti` under an already conditioned posterior."""
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         if a == b:
@@ -158,12 +158,15 @@ def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float
     if n_quad < 2:
         raise ValueError(f"n_quad must be >= 2, got {n_quad}")
     n_quad += n_quad % 2  # Simpson needs an even panel count
-    require_assumptions(theta.kernel, require_eti=True)
-    nodes = np.linspace(a, b, n_quad + 1)
-    mm = marginal_moments(data, theta, nodes, need_d2f=True)
+    require_assumptions(post.theta.kernel, require_eti=True)
+    mm = post.marginal(np.linspace(a, b, n_quad + 1), need_d2f=True)
     rate, _, _, _ = _local_eti_from_moments(mm)
-    h = (b - a) / n_quad
-    return float(h / 3.0 * np.dot(_simpson_weights(n_quad), rate))
+    return _simpson(rate, (b - a) / n_quad)
+
+
+def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
+    """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
+    return _eti(Posterior(data, theta), interval, n_quad)
 
 
 def count_crossings(df_path, grid=None) -> CrossingProcess:

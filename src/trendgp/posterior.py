@@ -3,13 +3,16 @@
 Conditioning a GP prior on noisy observations keeps the joint law of
 (f, df, d2f) Gaussian on any finite evaluation grid; the moments are the
 usual kriging formulas with the covariance replaced by the appropriate
-mixed partial.  All nine posterior blocks share a single lower-triangular
-factorization of C(t, t) + sigma^2 I.
+mixed partial.  `Posterior` factorizes C(t, t) + sigma^2 I once per
+(data, theta); every block, moment and grid evaluated under that theta
+shares the one lower-triangular factor.
 
-Times are internally mapped to [0, 1] before kernel evaluation (with the
-length-scale shrunk by the window length) and the derivative blocks are
-mapped back by the chain rule, so calendar-time inputs behave exactly like
-unit-interval ones.
+Times are internally mapped to [0, 1] by the data span (the first
+observation maps to 0, the last to 1; the length-scale shrinks by the same
+factor) and the derivative blocks are mapped back by the chain rule, so
+calendar-time inputs behave exactly like unit-interval ones.  Every kernel
+is stationary, so the rescaling does not depend on the evaluation grid and
+grids outside the data span need no second factorization.
 """
 
 from __future__ import annotations
@@ -171,143 +174,96 @@ def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-class _Conditioned:
-    """Shared state for conditioning one dataset under one Hyperparams.
+class Posterior:
+    """One dataset conditioned under one Hyperparams.
 
-    Holds the time rescaling, the factorized observation covariance and the
-    whitened residual so that repeated grid evaluations stay O(n^2 p).
+    Rescales time by the data span, factorizes the observation covariance
+    and whitens the residual once; every grid evaluation then costs
+    O(n^2 p) triangular solves against that one factor.
     """
 
     def __init__(self, data: Dataset, theta: Hyperparams):
         require_assumptions(theta.kernel, require_eti=False)
-        self.data = data
         self.theta = theta
-
-    def _prepare(self, grid: np.ndarray) -> None:
-        ts = self.data.ts
-        pts = np.concatenate([ts, grid]) if ts.size else grid
-        lo, hi = float(np.min(pts)), float(np.max(pts))
-        self.t0 = lo
-        self.L = hi - lo if hi > lo else 1.0
-        self.kernel_s = self.theta.kernel.with_rho(self.theta.kernel.rho / self.L)
+        ts = data.ts
+        self.t0 = float(ts[0]) if ts.size else 0.0
+        self.L = float(ts[-1] - ts[0]) if ts.size > 1 else 1.0
+        self.kernel_s = theta.kernel.with_rho(theta.kernel.rho / self.L)
         self.ts_s = (ts - self.t0) / self.L
-        if ts.size:
-            sig2 = self.theta.sigma**2
-            K = kernel_gram(self.kernel_s, self.ts_s, self.ts_s) + sig2 * np.eye(ts.size)
-            self.chol = _chol(K, self.theta.kernel.alpha**2)
-            resid = self.data.ys - mean_eval(self.theta.mean, 0, ts)
-            self.white_resid = solve_triangular(self.chol, resid, lower=True)
-        else:
-            self.chol = None
-            self.white_resid = None
+        K = kernel_gram(self.kernel_s, self.ts_s, self.ts_s) + theta.sigma**2 * np.eye(ts.size)
+        self.chol = _chol(K, theta.kernel.alpha**2)
+        resid = data.ys - mean_eval(theta.mean, 0, ts)
+        self.white_resid = solve_triangular(self.chol, resid, lower=True)
 
-    def _gram(self, grid_s: np.ndarray, order: int) -> np.ndarray:
-        # Cross covariance between the order-th derivative block on the grid
-        # and the observations, mapped back to original time units.
-        g = kernel_gram(self.kernel_s, grid_s, self.ts_s, order, 0)
-        return g / self.L**order
-
-    def _pp(self, grid_s: np.ndarray, order_s: int, order_t: int) -> np.ndarray:
-        g = kernel_gram(self.kernel_s, grid_s, grid_s, order_s, order_t)
-        return g / self.L ** (order_s + order_t)
+    def _conditioned(self, grid, orders):
+        """Checked grid, its rescaled copy, and per derivative order the
+        posterior mean and the whitened cross covariance L^{-1} C(ts, grid)."""
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        if grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("grid must be a non-empty finite time vector")
+        grid_s = (grid - self.t0) / self.L
+        means, whitened = [], []
+        for o in orders:
+            # whitened cross covariance, mapped back to original time units
+            cross = kernel_gram(self.kernel_s, grid_s, self.ts_s, o, 0) / self.L**o
+            w = solve_triangular(self.chol, cross.T, lower=True)
+            del cross  # freed before the next order's cross covariance is built
+            m = np.broadcast_to(np.asarray(mean_eval(self.theta.mean, o, grid), dtype=float), grid.shape)
+            means.append(m + w.T @ self.white_resid)
+            whitened.append(w)
+        return grid, grid_s, means, whitened
 
     def joint(self, grid, blocks=None) -> JointPosterior:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ValueError("grid must be a non-empty finite time vector")
         blocks = _resolve_blocks(self.theta.kernel, blocks)
-        self._prepare(grid)
-        grid_s = (grid - self.t0) / self.L
-        p = grid.size
-        nb = len(blocks)
         orders = [_DERIV_ORDER[b] for b in blocks]
-
-        mu = np.empty(nb * p)
-        cov = np.empty((nb * p, nb * p))
-        if self.chol is not None:
-            whitened = [
-                solve_triangular(self.chol, self._gram(grid_s, o).T, lower=True) for o in orders
-            ]
-        else:
-            whitened = [None] * nb
+        grid, grid_s, means, whitened = self._conditioned(grid, orders)
+        p = grid.size
+        cov = np.empty((len(orders) * p, len(orders) * p))
         for i, oi in enumerate(orders):
-            m = mean_eval(self.theta.mean, oi, grid)
-            m = np.broadcast_to(np.asarray(m, dtype=float), (p,)).copy()
-            if whitened[i] is not None:
-                m += whitened[i].T @ self.white_resid
-            mu[i * p : (i + 1) * p] = m
             for j, oj in enumerate(orders[i:], start=i):
-                blk = self._pp(grid_s, oi, oj)
-                if whitened[i] is not None:
-                    blk = blk - whitened[i].T @ whitened[j]
+                prior = kernel_gram(self.kernel_s, grid_s, grid_s, oi, oj) / self.L ** (oi + oj)
+                blk = prior - whitened[i].T @ whitened[j]
                 if i == j:
                     blk = 0.5 * (blk + blk.T)
-                cov[i * p : (i + 1) * p, j * p : (j + 1) * p] = blk
-                if i != j:
+                else:
                     cov[j * p : (j + 1) * p, i * p : (i + 1) * p] = blk.T
-        return JointPosterior(grid=grid, blocks=blocks, mu=mu, sigma_mat=cov)
+                cov[i * p : (i + 1) * p, j * p : (j + 1) * p] = blk
+        return JointPosterior(grid=grid, blocks=blocks, mu=np.concatenate(means), sigma_mat=cov)
 
     def marginal(self, grid, need_d2f: bool = False) -> MarginalMoments:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ValueError("grid must be a non-empty finite time vector")
         kernel = self.theta.kernel
         max_needed = 2 if need_d2f else 1
         if kernel.max_order() < max_needed:
             raise AssumptionError(
                 f"{kernel.family} does not admit derivative order {max_needed} (assumption A3)"
             )
-        self._prepare(grid)
-        grid_s = (grid - self.t0) / self.L
-        p = grid.size
+        grid, _, means, whitened = self._conditioned(grid, range(max_needed + 1))
 
-        def prior_diag(os: int, ot: int) -> np.ndarray:
-            val = kernel_gram(self.kernel_s, np.zeros(1), np.zeros(1), os, ot)[0, 0]
-            return np.full(p, val / self.L ** (os + ot))
+        def var(os: int, ot: int) -> np.ndarray:
+            # prior covariance at zero lag minus the diagonal of the data term
+            prior = kernel_gram(self.kernel_s, np.zeros(1), np.zeros(1), os, ot)[0, 0]
+            return prior / self.L ** (os + ot) - np.sum(whitened[os] * whitened[ot], axis=0)
 
-        mus, variances = [], []
-        orders = range(max_needed + 1)
-        if self.chol is not None:
-            whitened = [
-                solve_triangular(self.chol, self._gram(grid_s, o).T, lower=True) for o in orders
-            ]
-        else:
-            whitened = [None] * (max_needed + 1)
-        for o in orders:
-            m = mean_eval(self.theta.mean, o, grid)
-            m = np.broadcast_to(np.asarray(m, dtype=float), (p,)).copy()
-            v = prior_diag(o, o)
-            if whitened[o] is not None:
-                m += whitened[o].T @ self.white_resid
-                v = v - np.sum(whitened[o] ** 2, axis=0)
-            mus.append(m)
-            variances.append(v)
-        cov_12 = None
-        if need_d2f:
-            cov_12 = prior_diag(1, 2)
-            if whitened[1] is not None:
-                cov_12 = cov_12 - np.sum(whitened[1] * whitened[2], axis=0)
         return MarginalMoments(
             grid=grid,
-            mu_f=mus[0],
-            var_f=variances[0],
-            mu_df=mus[1],
-            var_df=variances[1],
-            mu_d2f=mus[2] if need_d2f else None,
-            var_d2f=variances[2] if need_d2f else None,
-            cov_df_d2f=cov_12,
+            mu_f=means[0],
+            var_f=var(0, 0),
+            mu_df=means[1],
+            var_df=var(1, 1),
+            mu_d2f=means[2] if need_d2f else None,
+            var_d2f=var(2, 2) if need_d2f else None,
+            cov_df_d2f=var(1, 2) if need_d2f else None,
         )
 
 
 def prior_joint(theta: Hyperparams, grid, blocks=None) -> JointPosterior:
     """Joint prior of the latent blocks on a grid (no conditioning)."""
-    empty = Dataset(ts=np.empty(0), ys=np.empty(0))
-    return _Conditioned(empty, theta).joint(grid, blocks)
+    return Posterior(Dataset(ts=np.empty(0), ys=np.empty(0)), theta).joint(grid, blocks)
 
 
 def joint_posterior(data: Dataset, theta: Hyperparams, grid, blocks=None) -> JointPosterior:
     """Posterior of (f, df, d2f) given the data; prior when the data are empty."""
-    return _Conditioned(data, theta).joint(grid, blocks)
+    return Posterior(data, theta).joint(grid, blocks)
 
 
 def marginal_moments(data: Dataset, theta: Hyperparams, grid, need_d2f: bool = False) -> MarginalMoments:
@@ -316,7 +272,7 @@ def marginal_moments(data: Dataset, theta: Hyperparams, grid, need_d2f: bool = F
     Computes only the diagonal of each covariance block, which is what the
     trend indices need, at O(n^2) per grid point.
     """
-    return _Conditioned(data, theta).marginal(grid, need_d2f=need_d2f)
+    return Posterior(data, theta).marginal(grid, need_d2f=need_d2f)
 
 
 def predictive(data: Dataset, theta: Hyperparams, t_star: float) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -20,11 +19,11 @@ from scipy.stats import norm as _norm
 
 from . import __version__
 from .estimation import (
+    DrawMoments,
     FitOptions,
     HalfNormalPrior,
     HalfStudentTPrior,
     McmcOptions,
-    McmcSamples,
     PriorSpec,
     StudentTPrior,
     default_priors,
@@ -33,9 +32,9 @@ from .estimation import (
     index_posterior,
     rhat,
 )
-from .indices import TdiCurve, crosspoint, eti, local_eti_curve, tdi_curve
-from .kernels import FAMILIES, AssumptionError
-from .posterior import Dataset, FactorizationError, Hyperparams, joint_posterior, marginal_moments
+from .indices import TdiCurve, _eti, _gauss_upper, _local_eti_from_moments, crosspoint
+from .kernels import FAMILIES, require_assumptions
+from .posterior import Dataset, Hyperparams, Posterior
 from .selection import CandidateGrid, select_model
 from .transforms import TransformSpec, back_transform_summary, transform_dataset
 
@@ -288,9 +287,11 @@ def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> flo
 def _ml_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
     fit = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
     theta = fit.theta
-    want_eti = bool(intervals) or config.compute_eti
-    mm = marginal_moments(fit_data, theta, grid, need_d2f=False)
-    tdi_c = tdi_curve(fit_data, theta, grid, anchor)
+    if config.compute_eti:
+        require_assumptions(theta.kernel, require_eti=True)
+    post = Posterior(fit_data, theta)
+    mm = post.marginal(grid, need_d2f=config.compute_eti)
+    tdi_c = TdiCurve(grid=grid, values=_gauss_upper(mm.mu_df, mm.var_df), anchor=anchor)
     f_lo, f_hi = _gauss_band(mm.mu_f, mm.var_f)
     df_lo, df_hi = _gauss_band(mm.mu_df, mm.var_df)
     pred_lo, pred_hi = _gauss_band(mm.mu_f, mm.var_f + theta.sigma**2)
@@ -304,18 +305,15 @@ def _ml_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
     if config.transform == "identity":
         curves["f"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "original"}
     else:
-        jp = joint_posterior(fit_data, theta, grid, blocks=("f",))
-        qs = back_transform_summary(tf, jp, k=4000, seed=config.seed)
+        qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed)
         curves["f"] = _curve_dict(grid, q2_5=qs[0], q50=qs[1], q97_5=qs[2]) | {"scale": "original"}
         # keep the transformed-scale level too; its bands are exact
         curves["f_latent"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "transformed"}
 
-    if want_eti:
-        _, deti = local_eti_curve(fit_data, theta, grid)
+    if config.compute_eti:
+        deti, _, _, _ = _local_eti_from_moments(mm)
         curves["local_eti"] = _curve_dict(grid, value=deti) | {"scale": scale}
-        eti_block = [
-            {"interval": [a, b], "value": eti(fit_data, theta, (a, b))} for a, b in intervals
-        ]
+        eti_block = [{"interval": [a, b], "value": _eti(post, (a, b))} for a, b in intervals]
     else:
         curves["local_eti"] = None
         eti_block = []
@@ -358,7 +356,6 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         priors=priors,
         opts=McmcOptions(chains=config.chains, iters=config.iters, seed=config.seed),
     )
-    want_eti = bool(intervals) or config.compute_eti
     idx = index_posterior(
         fit_data,
         samples,
@@ -368,7 +365,7 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         max_draws=config.max_draws,
     )
 
-    level = _bayes_level_curves(fit_data, samples, grid, tf, config)
+    level = _bayes_level_curves(idx.level, grid, tf, config)
     scale = "original" if config.transform == "identity" else "transformed"
     taus = idx.tdi.taus
     curves = {
@@ -383,7 +380,7 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         )
         | {"scale": scale},
     }
-    if want_eti and idx.local_eti is not None:
+    if config.compute_eti and idx.local_eti is not None:
         curves["local_eti"] = _curve_dict(
             grid,
             q2_5=idx.local_eti.at(taus[0]),
@@ -424,28 +421,20 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
     return fit_block, curves, eti_block, cp, diagnostics
 
 
-def _bayes_level_curves(fit_data, samples: McmcSamples, grid, tf, config) -> dict:
+def _bayes_level_curves(level: DrawMoments, grid, tf, config) -> dict:
     """Mixture curves for f, df and the predictive by sampling one realization
     per retained draw; quantiles then reflect both parameter and path noise."""
 
-    total = samples.n_chains * samples.n_kept
-    stride = max(1, math.ceil(total / config.max_draws))
-    picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
     rng = np.random.default_rng(config.seed)
-    f_rows, df_rows, pred_rows, mu_f_rows, mu_df_rows = [], [], [], [], []
-    for c, i in picks:
-        theta = samples.theta_at(c, i)
-        try:
-            mm = marginal_moments(fit_data, theta, grid, need_d2f=False)
-        except (AssumptionError, FactorizationError):
-            continue
-        z = rng.standard_normal((3, grid.size))
-        f_rows.append(mm.mu_f + np.sqrt(np.maximum(mm.var_f, 0.0)) * z[0])
-        df_rows.append(mm.mu_df + np.sqrt(np.maximum(mm.var_df, 0.0)) * z[1])
-        pred_rows.append(mm.mu_f + np.sqrt(np.maximum(mm.var_f, 0.0) + theta.sigma**2) * z[2])
-        mu_f_rows.append(mm.mu_f)
-        mu_df_rows.append(mm.mu_df)
-    f_arr, df_arr, pred_arr = map(np.asarray, (f_rows, df_rows, pred_rows))
+    z = rng.standard_normal((level.mu_f.shape[0], 3, grid.size))
+    # mu + sd * z, written over z so the draws need no second buffer
+    f_arr, df_arr, pred_arr = z[:, 0], z[:, 1], z[:, 2]
+    f_arr *= np.sqrt(np.maximum(level.var_f, 0.0))
+    f_arr += level.mu_f
+    df_arr *= np.sqrt(np.maximum(level.var_df, 0.0))
+    df_arr += level.mu_df
+    pred_arr *= np.sqrt(np.maximum(level.var_f, 0.0) + level.noise_var[:, None])
+    pred_arr += level.mu_f
     scale = "original" if config.transform == "identity" else "transformed"
 
     def q(arr, tau):
@@ -453,7 +442,7 @@ def _bayes_level_curves(fit_data, samples: McmcSamples, grid, tf, config) -> dic
 
     out = {
         "df": _curve_dict(
-            grid, mean=np.mean(mu_df_rows, axis=0), q2_5=q(df_arr, 0.025), q50=q(df_arr, 0.5), q97_5=q(df_arr, 0.975)
+            grid, mean=np.mean(level.mu_df, axis=0), q2_5=q(df_arr, 0.025), q50=q(df_arr, 0.5), q97_5=q(df_arr, 0.975)
         )
         | {"scale": scale},
         "predictive": _curve_dict(
@@ -463,7 +452,7 @@ def _bayes_level_curves(fit_data, samples: McmcSamples, grid, tf, config) -> dic
     }
     if config.transform == "identity":
         out["f"] = _curve_dict(
-            grid, mean=np.mean(mu_f_rows, axis=0), q2_5=q(f_arr, 0.025), q50=q(f_arr, 0.5), q97_5=q(f_arr, 0.975)
+            grid, mean=np.mean(level.mu_f, axis=0), q2_5=q(f_arr, 0.025), q50=q(f_arr, 0.5), q97_5=q(f_arr, 0.975)
         ) | {"scale": "original"}
     else:
         back = tf.inverse(f_arr)

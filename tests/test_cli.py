@@ -200,6 +200,12 @@ class TestQueryCommands:
         line = [l for l in out.splitlines() if l.startswith("0")][0]
         assert line.split("\t")[1] == "0.500"
 
+    def test_tdi_m32_needs_no_eti_flag(self, series_csv, capsys):
+        # tdi prints only the TDI, so the ETI-only assumption A3 does not apply
+        code, _ = _run(["tdi", series_csv, "--model", "0:M32", "--restarts", "4"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "t\ttdi"
+
     def test_eti_empty_interval_is_zero(self, series_csv, capsys):
         code, _ = _run(["eti", series_csv, "--interval", "1.0:1.0", "--model", "0:SE",
                         "--restarts", "4"])

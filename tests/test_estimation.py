@@ -23,7 +23,7 @@ from trendgp.estimation import (
 )
 from trendgp.indices import eti, local_eti, tdi
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, Hyperparams, prior_joint, sample_paths
+from trendgp.posterior import Dataset, Hyperparams, marginal_moments, prior_joint, sample_paths
 
 from conftest import random_instance
 
@@ -254,6 +254,25 @@ class TestIndexPosterior:
                 )
         want_eti = eti(data, plug, interval, n_quad=64)
         assert np.allclose(idx.eti_draws[interval], want_eti, rtol=1e-9)
+
+    def test_level_moments_match_per_draw_reference(self, rng):
+        # the one pass over the draws returns the grid moments a separate
+        # per-draw marginal_moments call gives, bit for bit (grid of 4k points,
+        # see tests/test_posterior.py)
+        data, _ = _simulated(rng, n=15)
+        samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=400, seed=5))
+        grid = np.linspace(0, 1, 12)
+        idx = index_posterior(data, samples, grid, anchor=1.0, intervals=((0.2, 0.8),),
+                              n_quad=16, max_draws=30)
+        stride = math.ceil(samples.n_chains * samples.n_kept / 30)
+        picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
+        thetas = [samples.theta_at(c, i) for c, i in picks]
+        ref = [marginal_moments(data, theta, grid) for theta in thetas]
+        assert idx.level.mu_f.shape == (len(picks), grid.size)
+        for name in ("mu_f", "var_f", "mu_df", "var_df"):
+            want = np.array([getattr(mm, name) for mm in ref])
+            assert np.array_equal(getattr(idx.level, name).view(np.int64), want.view(np.int64)), name
+        assert idx.level.noise_var.tolist() == [theta.sigma**2 for theta in thetas]
 
     def test_quantiles_monotone(self, rng):
         data, _ = _simulated(rng, n=15)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
 from trendgp.posterior import (
     Dataset,
     Hyperparams,
+    Posterior,
     joint_posterior,
     marginal_moments,
     predictive,
@@ -216,3 +218,67 @@ class TestSamplePaths:
                             sigma_mat=np.zeros((2, 2)))
         draws = sample_paths(jp, 5, seed=0)
         assert np.allclose(draws, [1.0, 2.0], atol=1e-6)
+
+
+_MOMENTS = ("mu_f", "var_f", "mu_df", "var_df", "mu_d2f", "var_d2f", "cov_df_d2f")
+
+
+def _instance(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if n == 0:
+        kernel = KernelSpec(family, 1.3, 0.4, 2.5 if family == "RQ" else None)
+        return Dataset(np.empty(0), np.empty(0)), Hyperparams(MeanSpec((0.3, -0.1)), kernel, 0.2)
+    return random_instance(rng, n=n, families=(family,))
+
+
+class TestPosteriorFactorOnce:
+    """One factor per (data, theta): moments do not depend on the rest of the grid."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["SE", "RQ", "M52", "M32"]),
+        st.sampled_from([0, 1, 2, 7, 15]),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 8),
+        st.lists(st.floats(-10.0, 15.0), min_size=1, max_size=20),
+    )
+    def test_grid_moments_ignore_extra_points(self, family, n, seed, quads, extra):
+        # Extra points may leave the data span; the first p moments keep every
+        # bit.  The grid holds a multiple of 4 points, as the 500-point report
+        # grid does: BLAS matrix-vector kernels (OpenBLAS dgemv_t on x86) take
+        # the last p mod 4 rows of the posterior-mean product through another
+        # accumulation order, which can move those means by an ulp.
+        data, theta = _instance(family, n, seed)
+        lo, hi = data.span if n else (0.0, 1.0)
+        grid = np.random.default_rng(seed).uniform(lo - 1.0, hi + 1.0, 4 * quads)
+        need_d2f = theta.kernel.max_order() >= 2
+        alone = marginal_moments(data, theta, grid, need_d2f=need_d2f)
+        joined = marginal_moments(data, theta, np.concatenate([grid, extra]), need_d2f=need_d2f)
+        for name in _MOMENTS:
+            a, b = getattr(alone, name), getattr(joined, name)
+            if a is None:
+                assert b is None
+                continue
+            assert np.array_equal(a.view(np.int64), b[: grid.size].view(np.int64)), name
+
+    @pytest.mark.parametrize("family", ["SE", "RQ", "M52", "M32"])
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_marginal_is_the_joint_diagonal(self, family, n):
+        data, theta = _instance(family, n, seed=17 + n)
+        lo, hi = data.span if n else (0.0, 1.0)
+        grid = np.linspace(lo - 0.7, hi + 1.9, 9)  # past both ends of the data span
+        post = Posterior(data, theta)
+        need_d2f = theta.kernel.max_order() >= 2
+        mm = post.marginal(grid, need_d2f=need_d2f)
+        jp = post.joint(grid)
+        assert jp.blocks == (("f", "df", "d2f") if need_d2f else ("f", "df"))
+        pairs = [("f", "f", "var_f"), ("df", "df", "var_df")]
+        if need_d2f:
+            pairs += [("d2f", "d2f", "var_d2f"), ("df", "d2f", "cov_df_d2f")]
+        for row, col, name in pairs:
+            diag = np.diag(jp.cov_block(row, col))
+            assert np.allclose(getattr(mm, name), diag, rtol=1e-12, atol=1e-12 * np.abs(diag).max())
+        for block in jp.blocks:
+            mean = jp.mean_block(block)
+            got = getattr(mm, f"mu_{block}")
+            assert np.allclose(got, mean, rtol=1e-12, atol=1e-12 * max(np.abs(mean).max(), 1.0))
