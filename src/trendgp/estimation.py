@@ -23,6 +23,7 @@ from scipy.stats import norm as _norm, t as _t
 from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval, require_assumptions
 from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol
 from .indices import _gauss_upper, _local_eti_from_moments, _simpson
+from .parallel import fork_map
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -345,7 +346,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
         raise ValueError(f"maximum-likelihood fitting needs n >= 3 observations, got {data.n}")
     opts = opts or FitOptions()
     space = _ModelSpace(degree, family)
-    require_assumptions(KernelSpec(family, 1.0, 1.0, 1.0 if family == "RQ" else None))
+    require_assumptions(KernelSpec.unit(family))
     lik = _Likelihood(data, space.degree)
 
     kernel_dims = ["alpha", "rho"] + (["nu"] if family == "RQ" else []) + ["sigma"]
@@ -505,7 +506,7 @@ def fit_bayes(
         raise ValueError(f"Bayesian fitting needs n >= 3 observations, got {data.n}")
     opts = opts or McmcOptions()
     space = _ModelSpace(degree, family)
-    require_assumptions(KernelSpec(family, 1.0, 1.0, 1.0 if family == "RQ" else None))
+    require_assumptions(KernelSpec.unit(family))
     if priors is None:
         ml = fit_ml(data, degree, family)
         priors = default_priors(ml.theta)
@@ -528,12 +529,9 @@ def fit_bayes(
         med = priors.for_param(name).ppf(0.5)
         x_center[j] = math.log(max(med, 1e-8)) if name in space.positive else med
 
-    seed_seqs = np.random.SeedSequence(opts.seed).spawn(opts.chains)
-    all_draws = np.empty((opts.chains, kept, d))
-    acceptance = np.empty(opts.chains)
-
-    for c in range(opts.chains):
-        rng = np.random.default_rng(seed_seqs[c])
+    def chain(seed_seq: np.random.SeedSequence) -> tuple[np.ndarray, float]:
+        """One chain's post-warmup draws (unconstrained) and acceptance rate."""
+        rng = np.random.default_rng(seed_seq)
         x = None
         for _ in range(50):
             cand = x_center + opts.init_step * rng.standard_normal(d)
@@ -549,6 +547,7 @@ def fit_bayes(
         run_cov = np.eye(d) * opts.init_step**2
         prop_chol = np.linalg.cholesky(run_cov)
         accepted_post = 0
+        draws = np.empty((kept, d))
 
         for it in range(opts.iters):
             step = math.exp(log_scale) * (prop_chol @ rng.standard_normal(d))
@@ -576,8 +575,15 @@ def fit_bayes(
             else:
                 if accept:
                     accepted_post += 1
-                all_draws[c, it - warmup] = x
-        acceptance[c] = accepted_post / kept
+                draws[it - warmup] = x
+        return draws, accepted_post / kept
+
+    # Each chain owns its seed, so the chains run in forked workers.
+    runs = fork_map(chain, [(ss,) for ss in np.random.SeedSequence(opts.seed).spawn(opts.chains)])
+    all_draws = np.empty((opts.chains, kept, d))
+    acceptance = np.empty(opts.chains)
+    for c, (draws, rate) in enumerate(runs):
+        all_draws[c], acceptance[c] = draws, rate
 
     if np.all(acceptance < 0.01):
         raise McmcError(f"all chains diverged: acceptance rates {acceptance}")
@@ -674,6 +680,11 @@ class IndexPosterior:
         return {tau: float(np.quantile(draws, tau)) for tau in taus}
 
 
+# Draws per work unit of the index pass: a block costs far more than the
+# round trip to a worker, and a few blocks per worker balance the load.
+_DRAW_BLOCK = 32
+
+
 def index_posterior(
     data: Dataset,
     samples: McmcSamples,
@@ -696,9 +707,7 @@ def index_posterior(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     p = grid.size
     taus = tuple(sorted(taus))
-    want_eti = KernelSpec(
-        samples.family, 1.0, 1.0, 1.0 if samples.family == "RQ" else None
-    ).max_order() >= 2
+    want_eti = KernelSpec.unit(samples.family).max_order() >= 2
 
     n_quad += n_quad % 2
     intervals = [tuple(float(v) for v in iv) for iv in intervals]
@@ -709,29 +718,30 @@ def index_posterior(
     stride = max(1, math.ceil(total / max_draws))
     picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
 
-    level = DrawMoments(*(np.empty((len(picks), p)) for _ in range(4)), np.empty(len(picks)))
-    n_level = 0
-    tdi_rows, eti_rows, eti_int_rows = [], [], []
-    for c, i in picks:
-        theta = samples.theta_at(c, i)
-        try:
-            mm = Posterior(data, theta).marginal(all_points, need_d2f=want_eti)
-        except (AssumptionError, FactorizationError):
-            continue
-        level.mu_f[n_level], level.var_f[n_level] = mm.mu_f[:p], mm.var_f[:p]
-        level.mu_df[n_level], level.var_df[n_level] = mm.mu_df[:p], mm.var_df[:p]
-        level.noise_var[n_level] = theta.sigma**2
-        n_level += 1
-        try:
-            tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
+    def draw_block(lo: int, hi: int):
+        """The pass over picks[lo:hi]: level moments, then TDI and ETI rows."""
+        level = DrawMoments(*(np.empty((hi - lo, p)) for _ in range(4)), np.empty(hi - lo))
+        n_level = 0
+        tdi_rows, eti_rows, eti_int_rows = [], [], []
+        for c, i in picks[lo:hi]:
+            theta = samples.theta_at(c, i)
+            try:
+                mm = Posterior(data, theta).marginal(all_points, need_d2f=want_eti)
+            except (AssumptionError, FactorizationError):
+                continue
+            level.mu_f[n_level], level.var_f[n_level] = mm.mu_f[:p], mm.var_f[:p]
+            level.mu_df[n_level], level.var_df[n_level] = mm.mu_df[:p], mm.var_df[:p]
+            level.noise_var[n_level] = theta.sigma**2
+            n_level += 1
+            try:
+                tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
+                if want_eti:
+                    rate, _, _, _ = _local_eti_from_moments(mm)
+            except AssumptionError:
+                continue
+            tdi_rows.append(tdi_vals)
             if want_eti:
-                rate, _, _, _ = _local_eti_from_moments(mm)
-        except AssumptionError:
-            continue
-        tdi_rows.append(tdi_vals)
-        if want_eti:
-            eti_rows.append(rate[:p])
-            if intervals:
+                eti_rows.append(rate[:p])
                 row = []
                 offset = p
                 for (a, b) in intervals:
@@ -739,24 +749,33 @@ def index_posterior(
                     row.append(_simpson(rate[offset : offset + n_quad + 1], h))
                     offset += n_quad + 1
                 eti_int_rows.append(row)
-    if not tdi_rows:
+        rows = (np.array(r, dtype=float).reshape(len(r), width)
+                for r, width in ((tdi_rows, p), (eti_rows, p), (eti_int_rows, len(intervals))))
+        return DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))), *rows
+
+    # Draws are independent, so contiguous blocks of them run in forked
+    # workers and are reassembled in pick order.
+    blocks = fork_map(draw_block, [(lo, min(lo + _DRAW_BLOCK, len(picks)))
+                                   for lo in range(0, len(picks), _DRAW_BLOCK)])
+    level = DrawMoments(*(np.concatenate([getattr(b[0], f.name) for b in blocks])
+                          for f in fields(DrawMoments)))
+    tdi_arr, eti_arr, int_arr = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+    del blocks
+    n_used = tdi_arr.shape[0]
+    if not n_used:
         raise McmcError("every MCMC draw failed the pointwise assumption checks")
 
-    tdi_arr = np.asarray(tdi_rows)
     tdi_q = QuantileCurve(grid=grid, taus=taus, values=np.quantile(tdi_arr, list(taus), axis=0))
     local_q = None
     eti_draws: dict = {}
     if want_eti:
-        eti_arr = np.asarray(eti_rows)
         local_q = QuantileCurve(grid=grid, taus=taus, values=np.quantile(eti_arr, list(taus), axis=0))
-        if intervals:
-            int_arr = np.asarray(eti_int_rows)
-            eti_draws = {iv: int_arr[:, j] for j, iv in enumerate(intervals)}
+        eti_draws = {iv: int_arr[:, j] for j, iv in enumerate(intervals)}
     return IndexPosterior(
         tdi=tdi_q,
         local_eti=local_q,
         eti_draws=eti_draws,
-        skipped_fraction=(len(picks) - len(tdi_rows)) / len(picks),
-        n_used=len(tdi_rows),
-        level=DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))),
+        skipped_fraction=(len(picks) - n_used) / len(picks),
+        n_used=n_used,
+        level=level,
     )

@@ -76,6 +76,11 @@ class KernelSpec:
         elif self.nu is not None:
             raise ValueError(f"nu is only meaningful for the RQ family, got nu={self.nu} for {self.family}")
 
+    @classmethod
+    def unit(cls, family: str) -> "KernelSpec":
+        """The family at unit parameters: a probe for checks that depend on the family alone."""
+        return cls(family, 1.0, 1.0, 1.0 if family == "RQ" else None)
+
     def max_order(self) -> int:
         return _MAX_ORDER[self.family]
 

@@ -33,7 +33,7 @@ from .estimation import (
     rhat,
 )
 from .indices import TdiCurve, _eti, _gauss_upper, _local_eti_from_moments, crosspoint
-from .kernels import FAMILIES, require_assumptions
+from .kernels import FAMILIES, KernelSpec, require_assumptions
 from .posterior import Dataset, Hyperparams, Posterior
 from .selection import CandidateGrid, select_model
 from .transforms import TransformSpec, back_transform_summary, transform_dataset
@@ -343,6 +343,8 @@ def _theta_params(theta: Hyperparams) -> dict:
 
 
 def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
+    if config.compute_eti:
+        require_assumptions(KernelSpec.unit(family), require_eti=True)
     ml = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
     if ml.substituted_from == "RQ":
         family = "SE"

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimation import FitError, FitOptions, FitResult, fit_ml
+from .parallel import fork_map
 from .posterior import Dataset, Hyperparams, marginal_moments
 
 # Tie-break order from fewest to most kernel parameters, then by smoothness.
@@ -82,7 +83,8 @@ def loo_mspe(
     the full-data fit, and predicts the latent mean at t_i.  A caller that
     already holds `fit_ml(data, degree, family, opts)` passes it as
     `full_fit`.  With `fixed_theta` the refits are skipped and the given
-    hyper-parameters are used in every fold (useful for hand checks).
+    hyper-parameters are used in every fold (useful for hand checks).  The
+    folds run in forked workers (`fork_map`).
     """
     if data.n < 4:
         raise ValueError(f"leave-one-out scoring needs n >= 4 observations, got {data.n}")
@@ -91,13 +93,14 @@ def loo_mspe(
     if fixed_theta is None:
         full = full_fit if full_fit is not None else fit_ml(data, degree, family, opts)
         fold_opts = replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
-    errors = np.empty(data.n)
-    for i in range(data.n):
+
+    def fold(i: int) -> float:
         rest = Dataset(np.delete(data.ts, i), np.delete(data.ys, i))
         theta = fixed_theta if fixed_theta is not None else fit_ml(rest, degree, family, fold_opts).theta
         pred = marginal_moments(rest, theta, [data.ts[i]]).mu_f[0]
-        errors[i] = (data.ys[i] - pred) ** 2
-    return float(errors.mean())
+        return (data.ys[i] - pred) ** 2
+
+    return float(np.array(fork_map(fold, [(i,) for i in range(data.n)])).mean())
 
 
 def osa_mspe(

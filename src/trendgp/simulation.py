@@ -20,6 +20,7 @@ from scipy.integrate import trapezoid
 from .estimation import FitError, FitOptions, fit_ml
 from .indices import _gauss_upper, _local_eti_from_moments, count_crossings
 from .kernels import KernelSpec, MeanSpec
+from .parallel import fork_map
 from .posterior import Dataset, Hyperparams, marginal_moments, sample_paths
 
 
@@ -205,20 +206,18 @@ def run_study(scenarios) -> StudyResult:
     """Run every scenario; deterministic for a fixed seed and scenario list.
 
     Replicates are keyed by (scenario, replicate index) so the result does
-    not depend on evaluation order.  Fit failures are dropped and counted;
-    degenerate fits stay in the inclusive aggregate and leave the exclusive
-    one, mirroring how weak identifiability shows up in practice.
+    not depend on evaluation order, and they run in forked workers
+    (`fork_map`).  Fit failures are dropped and counted; degenerate fits
+    stay in the inclusive aggregate and leave the exclusive one, mirroring
+    how weak identifiability shows up in practice.
     """
+    scenarios = list(scenarios)
+    done = iter(fork_map(_replicate, [(sc, rep) for sc in scenarios for rep in range(sc.reps)]))
     summaries = []
     for scenario in scenarios:
-        rows = []
-        failed = 0
-        for rep in range(scenario.reps):
-            row = _replicate(scenario, rep)
-            if row is None:
-                failed += 1
-            else:
-                rows.append(row)
+        results = [next(done) for _ in range(scenario.reps)]
+        rows = [r for r in results if r is not None]
+        failed = len(results) - len(rows)
         keep = [r for r in rows if not r["degenerate"]]
         summaries.append(
             ScenarioSummary(

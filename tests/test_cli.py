@@ -117,6 +117,16 @@ class TestFitCommand:
         assert payload["error"] == "assumption"
         assert "A3" in payload["reason"]
 
+    def test_bayes_m32_with_eti_exits_4(self, series_csv, tmp_path, capsys):
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:M32",
+                        "--estimator", "bayes", "--chains", "2", "--iters", "600",
+                        "--restarts", "4"])
+        assert code == 4
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "assumption"
+        assert "A3" in payload["reason"]
+        assert not (tmp_path / "x").exists()
+
     def test_m32_without_eti_succeeds(self, series_csv, tmp_path):
         code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "m32"), "--model", "0:M32",
                         "--restarts", "4", "--no-eti", "--grid", "30"])

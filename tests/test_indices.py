@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trendgp.indices import (
     TdiCurve,
@@ -264,3 +265,33 @@ class TestLocalEtiCurveShape:
         _, rates = local_eti_curve(data, theta, grid)
         for i, t in enumerate(grid):
             assert rates[i] == pytest.approx(local_eti(data, theta, float(t))[0], rel=1e-9)
+
+
+@st.composite
+def _instances(draw):
+    """A small irregular dataset and a theta drawn independently of it."""
+    family = draw(st.sampled_from(["SE", "RQ", "M52"]))
+    n = draw(st.integers(3, 12))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    ts = np.cumsum(gaps)
+    span = ts[-1] - ts[0]
+    ys = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    alpha = math.exp(draw(st.floats(-2.0, 2.0)))
+    rho = math.exp(draw(st.floats(-2.0, 1.0))) * span
+    nu = math.exp(draw(st.floats(-1.0, 3.0))) if family == "RQ" else None
+    sigma = math.exp(draw(st.floats(-3.0, 1.0))) * alpha
+    theta = Hyperparams(MeanSpec((draw(st.floats(-2.0, 2.0)),)), KernelSpec(family, alpha, rho, nu), sigma)
+    lo, hi = sorted(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2)))
+    return Dataset(ts, ys), theta, (ts[0] + lo * span, ts[0] + hi * span)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_tdi_in_unit_interval_and_eti_nonnegative(instance):
+    data, theta, interval = instance
+    grid = np.linspace(data.ts[0] - 0.25, data.ts[-1] + 0.25, 41)
+    values = tdi_curve(data, theta, grid, anchor=grid[0]).values
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    _, rates = local_eti_curve(data, theta, grid)
+    assert np.all(rates >= 0.0)
+    assert eti(data, theta, interval, n_quad=64) >= 0.0
