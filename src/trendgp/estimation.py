@@ -16,16 +16,13 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 from scipy.stats import norm as _norm, t as _t
 
-from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval, require_assumptions
-from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol
+from .kernels import AssumptionError, KernelSpec, MeanSpec, require_assumptions
+from .posterior import _LOG_2PI, Dataset, FactorizationError, Hyperparams, Posterior, _factor, _gauss_loglik, _whiten
 from .indices import _gauss_upper, _local_eti_from_moments, _simpson
 from .parallel import fork_map
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # An RQ shape parameter beyond this has numerically converged to the SE
 # kernel; fits are then reported as an SE substitution.
@@ -184,90 +181,23 @@ class _ModelSpace:
         kernel = KernelSpec(self.family, values["alpha"], values["rho"], nu)
         return Hyperparams(MeanSpec(betas), kernel, values["sigma"])
 
-    def values_of(self, theta: Hyperparams) -> dict:
-        values = {n: c for n, c in zip(self.beta_names, theta.mean.coefficients)}
-        values["alpha"] = theta.kernel.alpha
-        values["rho"] = theta.kernel.rho
-        if self.family == "RQ":
-            values["nu"] = theta.kernel.nu
-        values["sigma"] = theta.sigma
-        return values
-
 
 # ---------------------------------------------------------------------------
 # marginal likelihood
 
 
-class _Likelihood:
-    """The Gaussian marginal likelihood of one dataset, evaluated per theta.
+def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float):
+    """Profile marginal log likelihood: mean coefficients replaced by GLS.
 
-    Every kernel is stationary, so the Gram matrix depends on the times only
-    through the lags |t_i - t_j|.  The distinct lags and the index that maps
-    them back onto the n x n matrix, the GLS design matrix and the LAPACK
-    triangular solver are fixed per dataset; an evaluation computes the
-    kernel once per distinct lag, gathers, factorizes and whitens.  Equally
-    spaced times give O(n) distinct lags instead of n^2 entries.  The values
-    match the dense assembly and scipy's `solve_triangular` bit for bit.
+    Returns (loglik, betas); the GLS coefficients maximize the marginal
+    likelihood exactly for fixed kernel and noise parameters.  The caller
+    checks the design for finiteness once per fit.
     """
-
-    def __init__(self, data: Dataset, degree: int):
-        ts = data.ts
-        lags, index = np.unique(np.abs(ts[:, None] - ts[None, :]).ravel(), return_inverse=True)
-        self.data = data
-        self.lags = lags
-        self._index = index.reshape(data.n, data.n)
-        self.design = np.vander(ts, degree + 1, increasing=True)
-        # scipy checks its right-hand sides on every solve; y and X do not
-        # depend on theta, so they are checked here once.
-        self._finite = bool(np.all(np.isfinite(self.design)) and np.all(np.isfinite(data.ys)))
-        (self._trtrs,) = get_lapack_funcs(("trtrs",), (self.design,))
-
-    def gram(self, kernel: KernelSpec) -> np.ndarray:
-        """kernel_gram(kernel, ts, ts), evaluated once per distinct lag."""
-        return kernel_gram(kernel, self.lags, [0.0]).ravel()[self._index]
-
-    def factor(self, kernel: KernelSpec, sigma: float) -> np.ndarray:
-        """Lower Cholesky factor of the Gram plus sigma^2 I."""
-        K = self.gram(kernel)
-        K.reshape(-1)[:: self.data.n + 1] += sigma**2
-        return _chol(K, kernel.alpha**2)
-
-    def _whiten(self, L: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # L^{-1} b, as scipy's solve_triangular(L, b, lower=True) solves it
-        # for a C-ordered L: the transposed upper system through trtrs.
-        x, info = self._trtrs(L.T, b, lower=False, trans=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-        return x
-
-    def _loglik(self, L: np.ndarray, white: np.ndarray) -> float:
-        n = self.data.n
-        return float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
-
-    def marginal_loglik(self, theta: Hyperparams) -> float:
-        """Log density of the observations under theta; see `marginal_loglik`."""
-        require_assumptions(theta.kernel, require_eti=False)
-        if self.data.n == 0:
-            return 0.0
-        L = self.factor(theta.kernel, theta.sigma)
-        resid = self.data.ys - mean_eval(theta.mean, 0, self.data.ts)
-        if not np.all(np.isfinite(resid)):
-            raise ValueError("array must not contain infs or NaNs")
-        return self._loglik(L, self._whiten(L, resid))
-
-    def profile_mll(self, kernel: KernelSpec, sigma: float):
-        """Profile marginal log likelihood: mean coefficients replaced by GLS.
-
-        Returns (loglik, betas); the GLS coefficients maximize the marginal
-        likelihood exactly for fixed kernel and noise parameters.
-        """
-        L = self.factor(kernel, sigma)
-        if not self._finite:
-            raise ValueError("array must not contain infs or NaNs")
-        Xw = self._whiten(L, self.design)
-        yw = self._whiten(L, self.data.ys)
-        betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-        return self._loglik(L, yw - Xw @ betas), tuple(betas)
+    L = _factor(data, kernel, sigma)
+    Xw = _whiten(L, design)
+    yw = _whiten(L, data.ys)
+    betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+    return _gauss_loglik(L, yw - Xw @ betas), tuple(betas)
 
 
 def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
@@ -276,7 +206,7 @@ def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
     Includes the -(n/2) log 2 pi constant, so the value matches a direct
     multivariate-normal log density evaluation.
     """
-    return _Likelihood(data, theta.mean.degree).marginal_loglik(theta)
+    return Posterior(data, theta).loglik
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +277,9 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     opts = opts or FitOptions()
     space = _ModelSpace(degree, family)
     require_assumptions(KernelSpec.unit(family))
-    lik = _Likelihood(data, space.degree)
+    design = np.vander(data.ts, space.degree + 1, increasing=True)
+    if not np.all(np.isfinite(design)):
+        raise FitError("the mean design matrix has non-finite entries")
 
     kernel_dims = ["alpha", "rho"] + (["nu"] if family == "RQ" else []) + ["sigma"]
 
@@ -357,7 +289,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
             return math.inf
         try:
             kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-            ll, _ = lik.profile_mll(kernel, values["sigma"])
+            ll, _ = _profile_mll(data, design, kernel, values["sigma"])
         except (FactorizationError, ValueError, OverflowError):
             return math.inf
         return -ll if np.isfinite(ll) else math.inf
@@ -390,7 +322,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     _, z_best, converged = best
     values = {n: math.exp(v) for n, v in zip(kernel_dims, z_best)}
     kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-    ll, betas = lik.profile_mll(kernel, values["sigma"])
+    ll, betas = _profile_mll(data, design, kernel, values["sigma"])
     theta = Hyperparams(MeanSpec(betas), kernel, values["sigma"])
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:
@@ -459,7 +391,7 @@ class McmcSamples:
         return space.theta(values)
 
 
-def _log_posterior_fn(lik: _Likelihood, space: _ModelSpace, priors: PriorSpec, fixed: dict, sampled: list):
+def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixed: dict, sampled: list):
     positive = space.positive
 
     def log_post(x: np.ndarray) -> float:
@@ -479,7 +411,7 @@ def _log_posterior_fn(lik: _Likelihood, space: _ModelSpace, priors: PriorSpec, f
             return -math.inf
         try:
             theta = space.theta(values)
-            ll = lik.marginal_loglik(theta)
+            ll = Posterior(data, theta).loglik
         except (FactorizationError, ValueError, OverflowError):
             return -math.inf
         return lp + ll if np.isfinite(ll) else -math.inf
@@ -516,7 +448,7 @@ def fit_bayes(
     for name in sampled:
         priors.for_param(name)  # raises when a prior is missing
 
-    log_post = _log_posterior_fn(_Likelihood(data, degree), space, priors, dict(opts.fixed), sampled)
+    log_post = _log_posterior_fn(data, space, priors, dict(opts.fixed), sampled)
     d = len(sampled)
     warmup = opts.iters // 2
     kept = opts.iters - warmup

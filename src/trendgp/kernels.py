@@ -84,9 +84,6 @@ class KernelSpec:
     def max_order(self) -> int:
         return _MAX_ORDER[self.family]
 
-    def with_rho(self, rho: float) -> "KernelSpec":
-        return KernelSpec(self.family, self.alpha, rho, self.nu)
-
 
 @dataclass(frozen=True)
 class MeanSpec:

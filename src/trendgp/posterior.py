@@ -4,23 +4,24 @@ Conditioning a GP prior on noisy observations keeps the joint law of
 (f, df, d2f) Gaussian on any finite evaluation grid; the moments are the
 usual kriging formulas with the covariance replaced by the appropriate
 mixed partial.  `Posterior` factorizes C(t, t) + sigma^2 I once per
-(data, theta); every block, moment and grid evaluated under that theta
-shares the one lower-triangular factor.
+(data, theta); the marginal likelihood and every block, moment and grid
+evaluated under that theta share the one lower-triangular factor.
 
-Times are internally mapped to [0, 1] by the data span (the first
-observation maps to 0, the last to 1; the length-scale shrinks by the same
-factor) and the derivative blocks are mapped back by the chain rule, so
-calendar-time inputs behave exactly like unit-interval ones.  Every kernel
-is stationary, so the rescaling does not depend on the evaluation grid and
-grids outside the data span need no second factorization.
+Every kernel is stationary, so the Gram matrix depends on the times only
+through the lags |t_i - t_j|.  A dataset keeps its distinct lags and the
+index that gathers them back onto the n x n matrix, so each theta costs one
+kernel evaluation per distinct lag; equally spaced times give O(n) of them
+instead of n^2 entries.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .kernels import (
     AssumptionError,
@@ -39,6 +40,8 @@ _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
 # rung is the documented 1e-10 * alpha^2 safeguard; later rungs only trigger
 # for genuinely degenerate inputs.
 _JITTERS = (1e-10, 1e-8, 1e-6)
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class FactorizationError(RuntimeError):
@@ -74,6 +77,13 @@ class Dataset:
     @property
     def span(self) -> tuple[float, float]:
         return float(self.ts[0]), float(self.ts[-1])
+
+    @functools.cached_property
+    def lags(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct lags |t_i - t_j| and the n x n index that gathers them back."""
+        ts = self.ts
+        lags, index = np.unique(np.abs(ts[:, None] - ts[None, :]).ravel(), return_inverse=True)
+        return lags, index.reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -174,54 +184,89 @@ def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
+def _factor(data: Dataset, kernel: KernelSpec, sigma: float) -> np.ndarray:
+    """Lower Cholesky factor of kernel_gram(kernel, ts, ts) + sigma^2 I.
+
+    The Gram is gathered from one kernel evaluation per distinct lag; it
+    equals the dense assembly bit for bit.
+    """
+    lags, index = data.lags
+    K = kernel_gram(kernel, lags, [0.0]).ravel()[index]
+    K.reshape(-1)[:: data.n + 1] += sigma**2
+    return _chol(K, kernel.alpha**2)
+
+
+def _whiten(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for a lower-triangular C-ordered L; b is not checked for finiteness.
+
+    Solves the transposed upper system through LAPACK trtrs, as scipy's
+    triangular solver does for a C-ordered lower factor, so the values
+    match it bit for bit.
+    """
+    if L.shape[0] == 0:  # trtrs rejects n = 0
+        return np.empty(b.shape)
+    x, info = dtrtrs(L.T, b, lower=False, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def _gauss_loglik(L: np.ndarray, white: np.ndarray) -> float:
+    """log N(r; 0, L L^T) given the factor L and the whitened r, white = L^{-1} r."""
+    n = L.shape[0]
+    return float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
+
+
 class Posterior:
     """One dataset conditioned under one Hyperparams.
 
-    Rescales time by the data span, factorizes the observation covariance
-    and whitens the residual once; every grid evaluation then costs
+    Factorizes the observation covariance and whitens the residual once;
+    the marginal likelihood follows, and every grid evaluation then costs
     O(n^2 p) triangular solves against that one factor.
     """
 
     def __init__(self, data: Dataset, theta: Hyperparams):
         require_assumptions(theta.kernel, require_eti=False)
+        self.data = data
         self.theta = theta
-        ts = data.ts
-        self.t0 = float(ts[0]) if ts.size else 0.0
-        self.L = float(ts[-1] - ts[0]) if ts.size > 1 else 1.0
-        self.kernel_s = theta.kernel.with_rho(theta.kernel.rho / self.L)
-        self.ts_s = (ts - self.t0) / self.L
-        K = kernel_gram(self.kernel_s, self.ts_s, self.ts_s) + theta.sigma**2 * np.eye(ts.size)
-        self.chol = _chol(K, theta.kernel.alpha**2)
-        resid = data.ys - mean_eval(theta.mean, 0, ts)
-        self.white_resid = solve_triangular(self.chol, resid, lower=True)
+        self.chol = _factor(data, theta.kernel, theta.sigma)
+        resid = data.ys - mean_eval(theta.mean, 0, data.ts)
+        if not np.all(np.isfinite(resid)):
+            raise ValueError("array must not contain infs or NaNs")
+        self.white_resid = _whiten(self.chol, resid)
+
+    @property
+    def loglik(self) -> float:
+        """Log density of the observations with the latent GP integrated out."""
+        return _gauss_loglik(self.chol, self.white_resid)
 
     def _conditioned(self, grid, orders):
-        """Checked grid, its rescaled copy, and per derivative order the
-        posterior mean and the whitened cross covariance L^{-1} C(ts, grid)."""
+        """Checked grid and, per derivative order, the posterior mean and the
+        whitened cross covariance L^{-1} C(ts, grid)."""
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("grid must be a non-empty finite time vector")
-        grid_s = (grid - self.t0) / self.L
         means, whitened = [], []
         for o in orders:
-            # whitened cross covariance, mapped back to original time units
-            cross = kernel_gram(self.kernel_s, grid_s, self.ts_s, o, 0) / self.L**o
-            w = solve_triangular(self.chol, cross.T, lower=True)
+            cross = kernel_gram(self.theta.kernel, grid, self.data.ts, o, 0)
+            if not np.all(np.isfinite(cross)):
+                raise ValueError("array must not contain infs or NaNs")
+            w = _whiten(self.chol, cross.T)
             del cross  # freed before the next order's cross covariance is built
             m = np.broadcast_to(np.asarray(mean_eval(self.theta.mean, o, grid), dtype=float), grid.shape)
             means.append(m + w.T @ self.white_resid)
             whitened.append(w)
-        return grid, grid_s, means, whitened
+        return grid, means, whitened
 
     def joint(self, grid, blocks=None) -> JointPosterior:
         blocks = _resolve_blocks(self.theta.kernel, blocks)
         orders = [_DERIV_ORDER[b] for b in blocks]
-        grid, grid_s, means, whitened = self._conditioned(grid, orders)
+        grid, means, whitened = self._conditioned(grid, orders)
         p = grid.size
         cov = np.empty((len(orders) * p, len(orders) * p))
         for i, oi in enumerate(orders):
             for j, oj in enumerate(orders[i:], start=i):
-                prior = kernel_gram(self.kernel_s, grid_s, grid_s, oi, oj) / self.L ** (oi + oj)
+                prior = kernel_gram(self.theta.kernel, grid, grid, oi, oj)
                 blk = prior - whitened[i].T @ whitened[j]
                 if i == j:
                     blk = 0.5 * (blk + blk.T)
@@ -237,12 +282,12 @@ class Posterior:
             raise AssumptionError(
                 f"{kernel.family} does not admit derivative order {max_needed} (assumption A3)"
             )
-        grid, _, means, whitened = self._conditioned(grid, range(max_needed + 1))
+        grid, means, whitened = self._conditioned(grid, range(max_needed + 1))
 
         def var(os: int, ot: int) -> np.ndarray:
             # prior covariance at zero lag minus the diagonal of the data term
-            prior = kernel_gram(self.kernel_s, np.zeros(1), np.zeros(1), os, ot)[0, 0]
-            return prior / self.L ** (os + ot) - np.sum(whitened[os] * whitened[ot], axis=0)
+            prior = kernel_gram(kernel, np.zeros(1), np.zeros(1), os, ot)[0, 0]
+            return prior - np.sum(whitened[os] * whitened[ot], axis=0)
 
         return MarginalMoments(
             grid=grid,

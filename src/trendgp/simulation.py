@@ -21,7 +21,7 @@ from .estimation import FitError, FitOptions, fit_ml
 from .indices import _gauss_upper, _local_eti_from_moments, count_crossings
 from .kernels import KernelSpec, MeanSpec
 from .parallel import fork_map
-from .posterior import Dataset, Hyperparams, marginal_moments, sample_paths
+from .posterior import Dataset, Hyperparams, marginal_moments, prior_joint, sample_paths
 
 
 def paper_truth_kernel() -> KernelSpec:
@@ -98,8 +98,6 @@ class StudyResult:
 
 def simulate_gp(theta: Hyperparams, grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One joint draw of (f, df) from the prior on the given grid."""
-    from .posterior import prior_joint
-
     grid = np.asarray(grid, dtype=float)
     jp = prior_joint(theta, grid, blocks=("f", "df"))
     draw = sample_paths(jp, 1, seed)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit as _logit
 
-from .posterior import Dataset, Hyperparams, JointPosterior, sample_paths
+from .posterior import Dataset, Hyperparams, JointPosterior, joint_posterior, sample_paths
 from .indices import tdi
 
 TRANSFORM_KINDS = ("identity", "log", "logit", "arcsine_sqrt")
@@ -116,8 +116,6 @@ def tdi_original_scale(
         return tdi(tdata, theta, t, delta)
     if method != "mc":
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    from .posterior import joint_posterior
-
     jp = joint_posterior(tdata, theta, [float(t) + float(delta)], blocks=("f", "df"))
     draws = sample_paths(jp, k, seed)
     h, dh = draws[:, 0], draws[:, 1]

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from trendgp.estimation import (
+    FitError,
     FitOptions,
     HalfNormalPrior,
     HalfStudentTPrior,
@@ -99,6 +100,13 @@ class TestFitMl:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fit_ml(Dataset(np.array([0.0, 1.0]), np.array([0.0, 1.0])), 0, "SE")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_design_is_a_fit_error(self):
+        # t^2 overflows in the quadratic mean's design matrix
+        ts = np.array([1e200, 2e200, 3e200, 4e200])
+        with pytest.raises(FitError):
+            fit_ml(Dataset(ts, np.array([0.0, 1.0, 0.5, 2.0])), 2, "SE", FitOptions(restarts=2))
 
     def test_ou_rejected(self, rng):
         data, _ = _simulated(rng, n=10)

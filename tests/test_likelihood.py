@@ -1,9 +1,10 @@
-"""The per-dataset likelihood evaluator against the dense assembly, bit for bit.
+"""The shared conditioning helpers against the dense assembly, bit for bit.
 
-The ML objective and the MCMC target build the Gram matrix from the distinct
-time lags of one dataset.  These tests pin that this changes no bit: the
-gathered Gram, the factor (jitter rungs included), the profile objective and
-the log likelihood all equal the direct n x n computation.
+The ML objective, the MCMC target and every posterior moment build the Gram
+matrix from the distinct time lags of one dataset.  These tests pin that
+this changes no bit: the gathered Gram, the factor (jitter rungs included),
+the profile objective and the log likelihood all equal the direct n x n
+computation.
 """
 
 import math
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from trendgp.estimation import _Likelihood, marginal_loglik
+from trendgp.estimation import _profile_mll, marginal_loglik
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, FactorizationError, Hyperparams, _chol
+from trendgp.posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol, _factor
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -79,8 +80,8 @@ def _dense(data: Dataset, degree: int, theta: Hyperparams):
 @settings(max_examples=150, deadline=None)
 @given(ts=times, kernel=kernels())
 def test_gathered_gram_is_bit_identical(ts, kernel):
-    lik = _Likelihood(Dataset(ts, np.zeros(ts.size)), 0)
-    assert _same_bits(lik.gram(kernel), kernel_gram(kernel, ts, ts))
+    lags, index = Dataset(ts, np.zeros(ts.size)).lags
+    assert _same_bits(kernel_gram(kernel, lags, [0.0]).ravel()[index], kernel_gram(kernel, ts, ts))
 
 
 @settings(max_examples=80, deadline=None)
@@ -95,17 +96,17 @@ def test_objective_and_loglik_match_dense_reference(ts, kernel, log_sigma, degre
     rng = np.random.default_rng(seed)
     data = Dataset(ts, 10.0 * rng.standard_normal(ts.size))
     theta = Hyperparams(MeanSpec(tuple(rng.normal(0, 1, degree + 1))), kernel, math.exp(log_sigma))
-    lik = _Likelihood(data, degree)
     try:
         L, loglik, profile, betas = _dense(data, degree, theta)
     except FactorizationError:
         with pytest.raises(FactorizationError):
-            lik.factor(kernel, theta.sigma)
+            _factor(data, kernel, theta.sigma)
         return
-    assert _same_bits(lik.factor(kernel, theta.sigma), L)
-    assert _same_bits(lik.marginal_loglik(theta), loglik)
+    assert _same_bits(_factor(data, kernel, theta.sigma), L)
+    assert _same_bits(Posterior(data, theta).loglik, loglik)
     assert _same_bits(marginal_loglik(data, theta), loglik)
-    got_profile, got_betas = lik.profile_mll(kernel, theta.sigma)
+    design = np.vander(data.ts, degree + 1, increasing=True)
+    got_profile, got_betas = _profile_mll(data, design, kernel, theta.sigma)
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
 
@@ -120,25 +121,44 @@ def test_jitter_rung_gives_the_dense_factor():
     dense = kernel_gram(kernel, ts, ts) + 0.0 * np.eye(ts.size)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(dense)
-    lik = _Likelihood(data, 0)
-    assert _same_bits(lik.factor(kernel, 0.0), _chol(dense, kernel.alpha**2))
+    assert _same_bits(_factor(data, kernel, 0.0), _chol(dense, kernel.alpha**2))
     L, loglik, profile, betas = _dense(data, 0, theta)
-    assert _same_bits(lik.marginal_loglik(theta), loglik)
-    got_profile, got_betas = lik.profile_mll(kernel, 0.0)
+    assert _same_bits(marginal_loglik(data, theta), loglik)
+    design = np.vander(ts, 1, increasing=True)
+    got_profile, got_betas = _profile_mll(data, design, kernel, 0.0)
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
+
+
+@pytest.mark.parametrize(
+    "ts, sigma",
+    [
+        # near-duplicate times without noise: a jitter rung fires
+        (np.array([0.0, 1e-9, 0.4, 0.4 + 1e-9, 0.8, 1.0]), 0.0),
+        # the empty dataset that prior_joint conditions on
+        (np.empty(0), 0.1),
+    ],
+    ids=["jitter-rung", "empty"],
+)
+def test_posterior_factor_and_loglik_match_dense_reference(ts, sigma):
+    data = Dataset(ts, np.sin(6.0 * ts))
+    theta = Hyperparams(MeanSpec((0.2,)), KernelSpec("SE", 1.0, 0.3), sigma)
+    L, loglik, _, _ = _dense(data, 0, theta)
+    post = Posterior(data, theta)
+    assert _same_bits(post.chol, L)
+    assert _same_bits(post.loglik, loglik)
 
 
 @settings(max_examples=100, deadline=None)
 @given(ts=times)
 def test_distinct_lags_bounded_by_pairs(ts):
     n = ts.size
-    lik = _Likelihood(Dataset(ts, np.zeros(n)), 0)
-    assert lik.lags.size <= n * (n - 1) // 2 + 1
-    assert lik.lags[0] == 0.0
+    lags, _ = Dataset(ts, np.zeros(n)).lags
+    assert lags.size <= n * (n - 1) // 2 + 1
+    assert lags[0] == 0.0
 
 
 def test_integer_grid_has_one_lag_per_offset():
     ts = np.arange(1990.0, 2020.0)
-    lik = _Likelihood(Dataset(ts, np.zeros(ts.size)), 0)
-    assert np.array_equal(lik.lags, np.arange(ts.size, dtype=float))
+    lags, _ = Dataset(ts, np.zeros(ts.size)).lags
+    assert np.array_equal(lags, np.arange(ts.size, dtype=float))

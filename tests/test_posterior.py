@@ -1,9 +1,15 @@
 """Joint posterior moments against the dense conditioning oracle."""
 
+import csv
+import os
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trendgp.dataio import iso_to_fractional_year
+from trendgp.indices import tdi_curve
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
 from trendgp.posterior import (
     Dataset,
@@ -16,7 +22,9 @@ from trendgp.posterior import (
     sample_paths,
 )
 
-from conftest import random_instance, schur_oracle
+from conftest import kernel_mp, random_instance, schur_oracle
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "dpc-covid19-ita-andamento-nazionale.csv")
 
 
 def _theta(family="SE", alpha=1.0, rho=1.0, nu=None, sigma=0.2, betas=(0.0,)):
@@ -141,7 +149,9 @@ class TestJointPosterior:
             assert var_after <= var_before + 1e-10 * theta.kernel.alpha**2
 
     def test_calendar_time_inputs(self):
-        # the internal [0, 1] rescaling must reproduce unit-interval results
+        # stretching time by 20 and the length-scale with it, then shifting to
+        # a calendar year, must reproduce the unit-interval results, with the
+        # derivative blocks scaled by 20^-order
         ts01 = np.linspace(0, 1, 8)
         ys = np.cos(3 * ts01)
         theta01 = _theta(rho=0.3, sigma=0.1)
@@ -282,3 +292,89 @@ class TestPosteriorFactorOnce:
             mean = jp.mean_block(block)
             got = getattr(mm, f"mu_{block}")
             assert np.allclose(got, mean, rtol=1e-12, atol=1e-12 * max(np.abs(mean).max(), 1.0))
+
+
+class TestTimeShift:
+    """Stationary kernel, constant mean: moving the time origin changes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["SE", "RQ", "M52"]),
+        st.integers(2, 8),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([-1e3, 2020.0, 1e4]),
+    )
+    def test_shift_leaves_moments_tdi_and_loglik(self, family, n, seed, c):
+        data, theta = random_instance(np.random.default_rng(seed), n=n, families=(family,))
+        theta = Hyperparams(MeanSpec(theta.mean.coefficients[:1]), theta.kernel, theta.sigma)
+        lo, hi = data.span
+        grid = np.linspace(lo - 0.5, hi + 0.5, 8)
+        shifted = Dataset(data.ts + c, data.ys)
+        # Adding c rounds each time by at most ulp(c)/2 < 1.2e-12 for |c| <= 1e4,
+        # a relative lag error below 1e-11 at rho >= 0.2.  Conditioning with
+        # sigma >= 0.05 alpha and n <= 8 amplifies it by at most about 3e3, so
+        # 1e-7 of the prior scale of each moment leaves a wide margin.
+        tol = 1e-7
+        a, b = Posterior(data, theta), Posterior(shifted, theta)
+        assert b.loglik == pytest.approx(a.loglik, rel=tol, abs=tol * n)
+        ma, mb = a.marginal(grid, need_d2f=True), b.marginal(grid + c, need_d2f=True)
+        alpha, rho = theta.kernel.alpha, theta.kernel.rho
+        for name, scale in (
+            ("mu_f", alpha + abs(theta.mean.coefficients[0])),
+            ("var_f", alpha**2),
+            ("mu_df", alpha / rho),
+            ("var_df", alpha**2 / rho**2),
+            ("mu_d2f", alpha / rho**2),
+            ("var_d2f", alpha**2 / rho**4),
+            ("cov_df_d2f", alpha**2 / rho**3),
+        ):
+            assert np.allclose(getattr(mb, name), getattr(ma, name), rtol=0.0, atol=tol * scale), name
+        tdi_a = tdi_curve(data, theta, grid, anchor=hi).values
+        tdi_b = tdi_curve(shifted, theta, grid + c, anchor=hi + c).values
+        assert np.allclose(tdi_b, tdi_a, rtol=0.0, atol=tol)
+
+
+def _covid_log_series():
+    with open(FIXTURE, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ts = np.array([iso_to_fractional_year(r["data"]) for r in rows])
+    return Dataset(ts, np.log([float(r["nuovi_positivi"]) for r in rows]))
+
+
+def test_calendar_time_low_noise_df_matches_mpmath_oracle():
+    # The log COVID series on its calendar-year axis (t = 2020 + day/366,
+    # n = 90) under the parameters an SE fit finds there: sigma = 5e-4 gives
+    # the observation covariance a condition number of about 9e7, and the
+    # times are ~2020 while their differences are ~1e-3.
+    data = _covid_log_series()
+    ts, n = data.ts, data.n
+    alpha, rho, sigma, b0 = 0.87, 0.033, 5e-4, 6.5
+    theta = Hyperparams(MeanSpec((b0,)), KernelSpec("SE", alpha, rho), sigma)
+    grid = np.array([ts[3] + 0.5 / 366, ts[22], ts[45] + 0.25 / 366, ts[67] + 0.5 / 366, ts[-2]])
+    mm = marginal_moments(data, theta, grid)
+
+    with mp.workdps(30):
+        R, T = mp.mpf(rho), [mp.mpf(t) for t in ts]
+
+        def k(s, t):
+            return kernel_mp("SE", alpha, rho, None, s, t)
+
+        # Cholesky of C(ts, ts) + sigma^2 I, then forward substitution per vector
+        chol = mp.cholesky(mp.matrix([[k(s, t) + (sigma**2 if i == j else 0) for j, t in enumerate(T)]
+                                      for i, s in enumerate(T)]))
+
+        def whiten(b):
+            x = []
+            for i in range(n):
+                x.append((b[i] - mp.fsum(chol[i, j] * x[j] for j in range(i))) / chol[i, i])
+            return x
+
+        white_resid = whiten([mp.mpf(y) - b0 for y in data.ys])
+        for g, mu, var in zip(grid, mm.mu_df, mm.var_df):
+            G = mp.mpf(g)
+            # C^(1,0)(g, t) = -(g - t) / rho^2 C(g, t) for SE
+            w = whiten([-(G - t) / R**2 * k(G, t) for t in T])
+            mu_o = mp.fsum(wi * ri for wi, ri in zip(w, white_resid))
+            var_o = mp.mpf(alpha) ** 2 / R**2 - mp.fsum(wi**2 for wi in w)
+            assert abs(mu - mu_o) <= 1e-8 * abs(mu_o)
+            assert abs(var - var_o) <= 1e-8 * var_o
