@@ -3,11 +3,11 @@
 The latent function is always marginalized analytically, so the marginal
 likelihood of the observations is a plain multivariate normal density and
 the remaining parameter space is at most six-dimensional.  ML maximizes it
-by a multi-start simplex over the log-transformed kernel and noise
-parameters with the mean coefficients profiled out by generalized least
-squares.  The Bayesian path samples the same space (mean coefficients
-included) with an adaptive random-walk Metropolis chain targeting
-prior x marginal likelihood.
+by multi-start L-BFGS-B over the log-transformed kernel and noise
+parameters, on the closed-form gradient of the likelihood with the mean
+coefficients profiled out by generalized least squares.  The Bayesian path
+samples the same space (mean coefficients included) with an adaptive
+random-walk Metropolis chain targeting prior x marginal likelihood.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg.blas import dsyr, dsyrk
+from scipy.linalg.lapack import dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.stats import norm as _norm, t as _t
 
-from .kernels import AssumptionError, KernelSpec, MeanSpec, require_assumptions
+from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_log_param_grads, require_assumptions
 from .posterior import _LOG_2PI, Dataset, FactorizationError, Hyperparams, Posterior, _factor, _gauss_loglik, _whiten
 from .indices import _gauss_upper, _local_eti_from_moments, _simpson
 from .parallel import fork_map
@@ -187,17 +189,46 @@ class _ModelSpace:
 
 
 def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float):
-    """Profile marginal log likelihood: mean coefficients replaced by GLS.
+    """Profile marginal log likelihood and its gradient: mean coefficients replaced by GLS.
 
-    Returns (loglik, betas); the GLS coefficients maximize the marginal
-    likelihood exactly for fixed kernel and noise parameters.  The caller
-    checks the design for finiteness once per fit.
+    Returns (loglik, betas, grad).  The GLS coefficients maximize the
+    marginal likelihood exactly for fixed kernel and noise parameters, so
+    the profile gradient has no beta term.  grad holds d loglik / d log theta
+    for the kernel parameters (alpha, rho[, nu]) and then sigma, from
+    GPML eq. 5.9: 1/2 tr((a a^T - K^-1) dK/d theta) with a = K^-1 (y - X beta).
+    Each dK/d log theta is gathered from the distinct lags, so each trace is
+    a dot product over them.  The caller checks the design for finiteness
+    once per fit.
     """
     L = _factor(data, kernel, sigma)
     Xw = _whiten(L, design)
     yw = _whiten(L, data.ys)
     betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-    return _gauss_loglik(L, yw - Xw @ betas), tuple(betas)
+    white = yw - Xw @ betas
+    ll = _gauss_loglik(L, white)
+    # a = L^-T white by trs; L^-T by trtri, then the upper triangle of
+    # K^-1 - a a^T by syrk and a rank-one syr update.  Unlike potri (its
+    # lauum step) or trmv, these give the same bits under any BLAS thread
+    # count.  numpy's matmul for the same product took ~100x longer at
+    # n = 90 with two unpinned BLAS threads, in the optimizer's loop.
+    a, _ = dtrtrs(L.T, white, lower=0)
+    inv_lt, info = dtrtri(L.T, lower=0)
+    if info != 0:
+        raise FactorizationError(f"triangular inverse failed at diagonal {info - 1}")
+    del L
+    gap = dsyrk(1.0, inv_lt, c=np.zeros_like(inv_lt), overwrite_c=1)
+    del inv_lt
+    gap = dsyr(-1.0, a, a=gap, overwrite_a=1)
+    # gap is Fortran-ordered, so its memory-order ravel is the lower triangle
+    # row by row; the lag index is symmetric, and the diagonal (lag 0) counts once.
+    lags, index = data.lags
+    trace = np.trace(gap)
+    per_lag = 2.0 * np.bincount(index.ravel(), weights=gap.ravel(order="K"), minlength=lags.size)
+    per_lag[0] -= trace
+    grad = -0.5 * (kernel_log_param_grads(kernel, lags) @ per_lag)
+    # dK/d log sigma = 2 sigma^2 I
+    grad = np.append(grad, -sigma**2 * trace)
+    return ll, tuple(betas), grad
 
 
 def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
@@ -217,8 +248,6 @@ def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
 class FitOptions:
     restarts: int = 16
     seed: int = 0
-    fatol: float = 1e-8
-    xatol: float = 1e-6
     maxiter: int = 2000
     warm_theta: Hyperparams | None = None  # extra restart, e.g. full-data optimum
 
@@ -264,13 +293,27 @@ def _start_points(data: Dataset, space: _ModelSpace, opts: FitOptions) -> list[d
     return starts
 
 
+# alpha, rho and sigma are capped at 1e8, as upper box bounds on their log
+# coordinates.  alpha is also kept above 1e-100: on constant data the
+# likelihood grows without bound as alpha and sigma shrink, and below about
+# 1e-154 the derivative variances (alpha/rho)^2 underflow to 0, which the
+# posterior rejects (A4).
+_LOG_CAP = math.log(1e8)
+_LOG_ALPHA_FLOOR = math.log(1e-100)
+# A fit counts as converged when no log coordinate's projected gradient
+# exceeds this many nats per observation: a 1% move in any parameter then
+# changes the mean log density by less than 1e-6 nats.
+_CONVERGED_PGTOL = 1e-4
+
+
 def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions | None = None) -> FitResult:
     """Maximize the marginal likelihood over (beta, alpha, rho[, nu], sigma).
 
-    Multi-start Nelder-Mead in log coordinates with the mean coefficients
-    profiled out; the reported optimum is never below the objective at any
-    start point.  An RQ fit whose nu diverges past NU_DIVERGENCE is refit
-    under SE and flagged as a substitution.
+    Multi-start L-BFGS-B in log coordinates on the closed-form profile
+    gradient, with the mean coefficients profiled out, alpha, rho and sigma
+    boxed below 1e8 and alpha above 1e-100; the reported optimum is never
+    below the objective at any start point.  An RQ fit whose nu diverges
+    past NU_DIVERGENCE is refit under SE and flagged as a substitution.
     """
     if data.n < 3:
         raise ValueError(f"maximum-likelihood fitting needs n >= 3 observations, got {data.n}")
@@ -282,47 +325,64 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
         raise FitError("the mean design matrix has non-finite entries")
 
     kernel_dims = ["alpha", "rho"] + (["nu"] if family == "RQ" else []) + ["sigma"]
+    lower = np.array([_LOG_ALPHA_FLOOR if n == "alpha" else -np.inf for n in kernel_dims])
+    upper = np.array([np.inf if n == "nu" else _LOG_CAP for n in kernel_dims])
 
-    def objective(z: np.ndarray) -> float:
-        values = {n: math.exp(v) for n, v in zip(kernel_dims, z)}
-        if values["alpha"] > 1e8 or values["rho"] > 1e8 or values["sigma"] > 1e8:
-            return math.inf
+    def evaluate(z: np.ndarray):
+        """(loglik, betas, grad) at log parameters z; None when it fails.
+
+        Line searches probe extreme length-scales, where some kernel terms
+        overflow; such a point is a failed evaluation, not a warning.
+        """
         try:
+            values = {n: math.exp(v) for n, v in zip(kernel_dims, z)}
             kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-            ll, _ = _profile_mll(data, design, kernel, values["sigma"])
+            with np.errstate(all="ignore"):
+                ll, betas, grad = _profile_mll(data, design, kernel, values["sigma"])
         except (FactorizationError, ValueError, OverflowError):
-            return math.inf
-        return -ll if np.isfinite(ll) else math.inf
+            return None
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return None
+        return ll, betas, grad
 
-    best = None
+    last: dict = {}  # the latest evaluation: a restart's first call repeats its start
+    best: list = []  # [loglik, z, betas, grad] of the best point evaluated so far
+
+    def objective(z: np.ndarray):
+        key = z.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = out = evaluate(z)
+            # L-BFGS-B can return a point other than its best one after an
+            # abnormal line-search stop, so the fit keeps the best itself.
+            if out is not None and (not best or out[0] > best[0]):
+                best[:] = [out[0], z.copy(), out[1], out[2]]
+        out = last[key]
+        if out is None:
+            return math.inf, np.zeros_like(z)
+        return -out[0], -out[2]
+
     start_lls: list[float] = []
     n_failed = 0
     for start in _start_points(data, space, opts):
         z0 = np.array([math.log(start[n]) for n in kernel_dims])
-        f0 = objective(z0)
+        f0 = math.inf if np.any(z0 > upper) else objective(z0)[0]
         if not np.isfinite(f0):
             n_failed += 1
             continue
         start_lls.append(-f0)
-        res = minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={"fatol": opts.fatol, "xatol": opts.xatol, "maxiter": opts.maxiter,
-                     "maxfev": opts.maxiter},
-        )
-        if not np.isfinite(res.fun):
-            n_failed += 1
-            continue
-        if best is None or res.fun < best[0]:
-            best = (res.fun, res.x, bool(res.success))
-    if best is None:
+        minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+                 options={"maxiter": opts.maxiter, "maxfun": opts.maxiter})
+    if not best:
         raise FitError("all optimization restarts failed to produce a finite marginal likelihood")
 
-    _, z_best, converged = best
+    ll, z_best, betas, grad = best
+    # Judged by the projected gradient at the returned point: L-BFGS-B also
+    # reports success when a line search ends on a failed evaluation.
+    held = ((z_best >= upper) & (grad > 0)) | ((z_best <= lower) & (grad < 0))
+    converged = bool(np.max(np.abs(np.where(held, 0.0, grad))) <= _CONVERGED_PGTOL * data.n)
     values = {n: math.exp(v) for n, v in zip(kernel_dims, z_best)}
     kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-    ll, betas = _profile_mll(data, design, kernel, values["sigma"])
     theta = Hyperparams(MeanSpec(betas), kernel, values["sigma"])
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:

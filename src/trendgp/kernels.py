@@ -251,6 +251,35 @@ def kernel_gram(spec: KernelSpec, ts, us, order_s: int = 0, order_t: int = 0) ->
     return sign * _stationary_deriv(spec, diff, order_s + order_t)
 
 
+def _q_over_1pq_minus_log1p(q: np.ndarray) -> np.ndarray:
+    """q/(1+q) - log1p(q) for q >= 0, without cancellation at small q.
+
+    Below q = 1e-3 the difference is -q^2/2 + O(q^3) while each term is
+    O(q), so it comes from the alternating series sum_k (-1)^(k+1) (k-1)/k q^k
+    instead; five terms leave a truncation error below 1e-14 relative.
+    """
+    series = -q * q * (0.5 - q * (2.0 / 3.0 - q * (0.75 - q * (0.8 - q * 5.0 / 6.0))))
+    return np.where(q < 1e-3, series, q / (1.0 + q) - np.log1p(q))
+
+
+def kernel_log_param_grads(spec: KernelSpec, u) -> np.ndarray:
+    """Derivatives of k(u) with respect to log alpha, log rho and (RQ) log nu.
+
+    One row per parameter, one column per lag: d k/d log alpha = 2 k; every
+    family depends on u only through u/rho, so d k/d log rho = -u k'(u); and
+    for RQ, d k/d log nu = nu k (q/(1+q) - log1p q) with q = u^2/(2 rho^2 nu).
+    OU is rejected, having no k'.
+    """
+    _check_order(spec, 1, 0)
+    u = np.asarray(u, dtype=float)
+    k = _stationary_deriv(spec, u, 0)
+    rows = [2.0 * k, -u * _stationary_deriv(spec, u, 1)]
+    if spec.family == "RQ":
+        q = u * u / (2.0 * spec.rho * spec.rho * spec.nu)
+        rows.append(spec.nu * k * _q_over_1pq_minus_log1p(q))
+    return np.array(rows)
+
+
 def validate_assumptions(spec: KernelSpec, require_eti: bool = False) -> AssumptionViolation | None:
     """Check whether the family supports the requested trend indices.
 

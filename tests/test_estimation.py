@@ -115,6 +115,33 @@ class TestFitMl:
         with pytest.raises(AssumptionError):
             fit_ml(data, 0, "OU")
 
+    @pytest.fixture(scope="class")
+    def covid_log(self, tmp_path_factory):
+        import os
+
+        from trendgp.dataio import fetch_covid, read_timeseries
+        from trendgp.transforms import TransformSpec, transform_dataset
+
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "dpc-covid19-ita-andamento-nazionale.csv")
+        path = str(tmp_path_factory.mktemp("covid") / "covid.csv")
+        fetch_covid(path, offline_fixture=fixture)
+        data, _ = read_timeseries(path)
+        return transform_dataset(TransformSpec("log"), data)
+
+    # The optima a multi-start Nelder-Mead reached on the log COVID fixture,
+    # with 16 restarts from seed 0.  A finite-difference L-BFGS-B stopped a
+    # whole nat short on M52; the closed-form gradient must not.
+    @pytest.mark.parametrize("family, reference", [
+        ("SE", 450.7587607214975),
+        ("M52", 428.6188739482107),
+        ("RQ", 459.35629987501056),
+    ])
+    def test_reaches_the_reference_optimum_on_the_fixture(self, covid_log, family, reference):
+        fit = fit_ml(covid_log, 0, family, FitOptions(restarts=16, seed=0))
+        assert fit.loglik >= reference - 1e-6
+        assert fit.converged
+        assert fit.loglik >= max(fit.start_logliks)
+
 
 class TestPriors:
     def test_half_distributions_zero_below_origin(self):

@@ -12,12 +12,15 @@ from trendgp.kernels import (
     MeanSpec,
     kernel_eval,
     kernel_gram,
+    kernel_log_param_grads,
     kernel_partial,
     mean_eval,
     validate_assumptions,
 )
 
-from conftest import fd_partial, fd_rel_err
+import mpmath as mp
+
+from conftest import fd_partial, fd_rel_err, kernel_mp
 
 ALL_FAMILIES = ("SE", "RQ", "M52", "M32")
 
@@ -177,6 +180,58 @@ class TestKernelGram:
             ts = np.sort(rng.uniform(0, 4, 12))
             eigs = np.linalg.eigvalsh(kernel_gram(spec, ts, ts))
             assert eigs.min() >= -1e-8 * spec.alpha**2
+
+
+def _log_param_grads_mp(spec: KernelSpec, u: float, h: float = 1e-15) -> list[float]:
+    """Central differences of k(u) in each log parameter, in 80-digit arithmetic.
+
+    The h^2 truncation term is far below double precision.  At nu ~ 1e6 and
+    small lags the nu derivative is ~1e-23 of k, so the difference of the
+    two k values needs more digits than the 50 the partials oracle uses.
+    """
+    names = ("alpha", "rho", "nu") if spec.family == "RQ" else ("alpha", "rho")
+    out = []
+    with mp.workdps(80):
+        logs = {n: mp.log(mp.mpf(getattr(spec, n))) for n in names}
+        for name in names:
+            vals = []
+            for sign in (1, -1):
+                p = dict(logs)
+                p[name] += sign * mp.mpf(h)
+                e = {n: mp.e ** v for n, v in p.items()}
+                vals.append(kernel_mp(spec.family, e["alpha"], e["rho"], e.get("nu"), u, 0))
+            out.append(float((vals[0] - vals[1]) / (2 * mp.mpf(h))))
+    return out
+
+
+class TestLogParamGrads:
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("SE", 1.7, 0.4),
+        KernelSpec("RQ", 0.6, 1.3, 0.35),
+        KernelSpec("RQ", 2.0, 0.05, 7.0),
+        KernelSpec("RQ", 1.1, 0.8, 1e6),
+        KernelSpec("RQ", 1.1, 0.8, 1.05e6),
+        KernelSpec("M52", 3.0, 0.25),
+        KernelSpec("M32", 0.8, 2.0),
+    ], ids=lambda s: f"{s.family}-nu{s.nu}")
+    def test_against_mpmath_central_differences(self, spec):
+        lags = spec.rho * np.array([0.0, 1e-4, 1e-2, 0.3, 1.0, 2.5, 7.0])
+        got = kernel_log_param_grads(spec, lags)
+        assert got.shape == (3 if spec.family == "RQ" else 2, lags.size)
+        for j, u in enumerate(lags):
+            want = _log_param_grads_mp(spec, float(u))
+            for i, w in enumerate(want):
+                # exact zeros (every non-alpha row at lag 0) must come out exact
+                assert abs(got[i, j] - w) <= 1e-12 * abs(w), (i, float(u), got[i, j], w)
+
+    def test_rows_gather_like_the_gram(self):
+        spec = KernelSpec("M52", 1.3, 0.7)
+        lags = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(kernel_log_param_grads(spec, lags)[0], 2.0 * kernel_gram(spec, lags, [0.0])[:, 0])
+
+    def test_ou_has_no_length_scale_derivative(self):
+        with pytest.raises(InadmissibleOrderError):
+            kernel_log_param_grads(KernelSpec("OU", 1.0, 1.0), np.array([0.0, 1.0]))
 
 
 class TestMeanEval:

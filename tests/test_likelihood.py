@@ -106,7 +106,7 @@ def test_objective_and_loglik_match_dense_reference(ts, kernel, log_sigma, degre
     assert _same_bits(Posterior(data, theta).loglik, loglik)
     assert _same_bits(marginal_loglik(data, theta), loglik)
     design = np.vander(data.ts, degree + 1, increasing=True)
-    got_profile, got_betas = _profile_mll(data, design, kernel, theta.sigma)
+    got_profile, got_betas, _ = _profile_mll(data, design, kernel, theta.sigma)
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
 
@@ -125,7 +125,7 @@ def test_jitter_rung_gives_the_dense_factor():
     L, loglik, profile, betas = _dense(data, 0, theta)
     assert _same_bits(marginal_loglik(data, theta), loglik)
     design = np.vander(ts, 1, increasing=True)
-    got_profile, got_betas = _profile_mll(data, design, kernel, 0.0)
+    got_profile, got_betas, _ = _profile_mll(data, design, kernel, 0.0)
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
 
@@ -162,3 +162,31 @@ def test_integer_grid_has_one_lag_per_offset():
     ts = np.arange(1990.0, 2020.0)
     lags, _ = Dataset(ts, np.zeros(ts.size)).lags
     assert np.array_equal(lags, np.arange(ts.size, dtype=float))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("layout", ["regular", "irregular", "calendar"])
+def test_profile_gradient_matches_central_differences(layout, degree):
+    # GPML eq. 5.9 against a fourth-order stencil of the profile value itself;
+    # the value's own rounding (the GLS solve on a calendar-year quadratic
+    # design is the worst) limits the agreement to about 1e-8.
+    h = 1e-3
+    for seed, family in enumerate(("SE", "RQ", "M52", "M32")):
+        rng = np.random.default_rng(seed)
+        ts = _times(layout, 25, seed)
+        span = ts[-1] - ts[0]
+        data = Dataset(ts, np.sin(5.0 * (ts - ts[0]) / span) + 0.2 * rng.standard_normal(ts.size))
+        design = np.vander(ts, degree + 1, increasing=True)
+        z = np.log([1.0, 0.2 * span] + ([1.5] if family == "RQ" else []) + [0.2])
+
+        def profile(z):
+            nu = math.exp(z[2]) if family == "RQ" else None
+            return _profile_mll(data, design, KernelSpec(family, math.exp(z[0]), math.exp(z[1]), nu),
+                                math.exp(z[-1]))
+
+        _, _, grad = profile(z)
+        fd = np.empty_like(grad)
+        for i, step in enumerate(h * np.eye(z.size)):
+            f = [profile(z + m * step)[0] for m in (2, 1, -1, -2)]
+            fd[i] = (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad)), (family, grad, fd)

@@ -15,12 +15,14 @@ from trendgp.estimation import (
     FitOptions,
     McmcError,
     McmcOptions,
+    _profile_mll,
     default_priors,
     fit_bayes,
+    fit_ml,
     index_posterior,
 )
 from trendgp.kernels import KernelSpec, MeanSpec
-from trendgp.parallel import fork_map
+from trendgp.parallel import _openblas, fork_map
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.selection import loo_mspe
 from trendgp.simulation import Scenario, run_study
@@ -67,8 +69,6 @@ class TestForkMap:
             fork_map(lambda i: os._exit(1) if i == 1 else i, [(i,) for i in range(3)])
 
     def test_workers_use_one_blas_thread(self, two_cpus):
-        from trendgp.parallel import _openblas
-
         if not _openblas("get"):
             pytest.skip("no OpenBLAS loaded")
         per_worker = fork_map(lambda i: [get() for get in _openblas("get")], [(0,), (1,)])
@@ -173,3 +173,36 @@ class TestPooledEqualsSerial:
         with pytest.raises(McmcError, match=r"^non-finite posterior density at initialization$"):
             fit_bayes(data, 0, "SE", priors=priors,
                       opts=McmcOptions(chains=2, iters=100, fixed={"alpha": 0.0}))
+
+
+@pytest.fixture
+def blas_threads():
+    """Sets the OpenBLAS thread count of every loaded OpenBLAS; restores it after."""
+    if not _openblas("set"):
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get in _openblas("get")]
+
+    def set_to(k):
+        for set_threads in _openblas("set"):
+            set_threads(k)
+
+    yield set_to
+    for set_threads, k in zip(_openblas("set"), before):
+        set_threads(k)
+
+
+@pytest.mark.parametrize("n", [7, 50, 90])
+def test_ml_fit_is_blas_thread_invariant(blas_threads, n):
+    # Pooled folds run with one BLAS thread and serial ones with all of them,
+    # so the profile gradient and the fit must not depend on the count.
+    data = _series(n, 3)
+    design = np.vander(data.ts, 2, increasing=True)
+    runs = []
+    for threads in (1, 2):
+        blas_threads(threads)
+        ll, betas, grad = _profile_mll(data, design, KernelSpec("M52", 0.8, 0.4), 0.1)
+        fit = fit_ml(data, 1, "RQ", FitOptions(restarts=2, seed=5))
+        k = fit.theta.kernel
+        runs.append((_bits([ll, *betas, *grad]),
+                     _bits([fit.loglik, k.alpha, k.rho, k.nu, fit.theta.sigma, *fit.theta.mean.coefficients])))
+    assert runs[1] == runs[0]
