@@ -472,7 +472,8 @@ def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixe
         try:
             theta = space.theta(values)
             ll = Posterior(data, theta).loglik
-        except (FactorizationError, ValueError, OverflowError):
+        except (FactorizationError, AssumptionError, ValueError, OverflowError):
+            # AssumptionError: A4 fails numerically, say when alpha^2 underflows
             return -math.inf
         return lp + ll if np.isfinite(ll) else -math.inf
 

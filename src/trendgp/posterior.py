@@ -345,14 +345,31 @@ def _factor_cov(cov: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+@dataclass(frozen=True)
+class PathSampler:
+    """N(mu, cov) held as its mean and a factor F with F F^T = cov.
+
+    Factoring is the expensive step; a sampler built once serves any number
+    of draws, each deterministic per seed.
+    """
+
+    mu: np.ndarray
+    factor: np.ndarray
+
+    @classmethod
+    def of(cls, jp: JointPosterior) -> "PathSampler":
+        return cls(mu=jp.mu, factor=_factor_cov(jp.sigma_mat))
+
+    def draw(self, k: int, seed: int) -> np.ndarray:
+        """k independent joint paths, one per row."""
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        z = np.random.default_rng(seed).standard_normal((k, self.mu.size))
+        return self.mu[None, :] + z @ self.factor.T
+
+
 def sample_paths(jp: JointPosterior, k: int, seed: int) -> np.ndarray:
     """Draw k independent joint paths from N(mu, sigma_mat); deterministic per seed."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    dim = jp.mu.size
-    if k == 0:
-        return np.empty((0, dim))
-    factor = _factor_cov(jp.sigma_mat)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((k, dim))
-    return jp.mu[None, :] + z @ factor.T
+    if k == 0:  # nothing to draw, so nothing to factor
+        return np.empty((0, jp.mu.size))
+    return PathSampler.of(jp).draw(k, seed)

@@ -19,9 +19,9 @@ from scipy.integrate import trapezoid
 
 from .estimation import FitError, FitOptions, fit_ml
 from .indices import _gauss_upper, _local_eti_from_moments, count_crossings
-from .kernels import KernelSpec, MeanSpec
+from .kernels import AssumptionError, KernelSpec, MeanSpec
 from .parallel import fork_map
-from .posterior import Dataset, Hyperparams, marginal_moments, prior_joint, sample_paths
+from .posterior import Dataset, Hyperparams, PathSampler, marginal_moments, prior_joint
 
 
 def paper_truth_kernel() -> KernelSpec:
@@ -65,7 +65,8 @@ class ScenarioSummary:
     Residual entries are means across replicates except the ETI pair, which
     report medians.  `excluded` counts degenerate fits (the latent estimate
     collapsed to a constant or to interpolation); `failed` counts replicates
-    whose optimizer produced no finite optimum at all.
+    whose optimizer produced no finite optimum at all, or whose fitted
+    posterior has no positive trend variance on the grid (A4).
     """
 
     n: int
@@ -96,12 +97,45 @@ class StudyResult:
         return buf.getvalue()
 
 
+def _fdf_sampler(theta: Hyperparams, grid) -> PathSampler:
+    """The factored prior of (f, df) on the grid."""
+    return PathSampler.of(prior_joint(theta, grid, blocks=("f", "df")))
+
+
+def _draw_fdf(sampler: PathSampler, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    draw = sampler.draw(1, seed)[0]
+    p = draw.size // 2
+    return draw[:p], draw[p:]
+
+
 def simulate_gp(theta: Hyperparams, grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One joint draw of (f, df) from the prior on the given grid."""
-    grid = np.asarray(grid, dtype=float)
-    jp = prior_joint(theta, grid, blocks=("f", "df"))
-    draw = sample_paths(jp, 1, seed)[0]
-    return draw[: grid.size], draw[grid.size :]
+    return _draw_fdf(_fdf_sampler(theta, grid), seed)
+
+
+@dataclass(frozen=True)
+class _TruthLaw:
+    """What every replicate of a (kernel, grid_size, n) cell shares.
+
+    The study grid, the observation times, the factored prior of (f, df) on
+    their union (where the truth is drawn) and the indices of both in that
+    union.  Neither the seed nor the noise level enters it.
+    """
+
+    grid: np.ndarray
+    obs_ts: np.ndarray
+    grid_ix: np.ndarray
+    obs_ix: np.ndarray
+    sampler: PathSampler
+
+    @classmethod
+    def of(cls, kernel: KernelSpec, grid_size: int, n: int) -> "_TruthLaw":
+        grid = np.linspace(0.0, 1.0, grid_size)
+        obs_ts = np.linspace(0.0, 1.0, n)
+        all_ts = np.unique(np.concatenate([grid, obs_ts]))
+        truth_theta = Hyperparams(MeanSpec((0.0,)), kernel, 0.0)
+        return cls(grid, obs_ts, np.searchsorted(all_ts, grid),
+                   np.searchsorted(all_ts, obs_ts), _fdf_sampler(truth_theta, all_ts))
 
 
 def integrated_residual(truth, estimate, grid) -> float:
@@ -135,23 +169,27 @@ def naive_sign_changes(data: Dataset) -> int:
     return count_crossings(diffs).total
 
 
-def _replicate(scenario: Scenario, rep: int) -> dict | None:
-    """Run one replicate; None when the fit fails outright."""
+def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:
+    """Run one replicate; None when the fit fails outright or its posterior
+    violates A4 on the grid.
+
+    `laws` memoizes the truth law by (kernel, grid_size, n): the first
+    replicate of a cell in this process builds it, later ones reuse it.
+    """
     sigma_key = int(round(scenario.sigma * 1e9))
     seed_seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(scenario.n, sigma_key, rep))
     rng = np.random.default_rng(seed_seq)
 
-    grid = np.linspace(0.0, 1.0, scenario.grid_size)
-    obs_ts = np.linspace(0.0, 1.0, scenario.n)
-    all_ts = np.unique(np.concatenate([grid, obs_ts]))
-    truth_theta = Hyperparams(MeanSpec((0.0,)), scenario.kernel, 0.0)
-    f_all, df_all = simulate_gp(truth_theta, all_ts, seed=int(rng.integers(2**63)))
-    grid_ix = np.searchsorted(all_ts, grid)
-    obs_ix = np.searchsorted(all_ts, obs_ts)
-    f_truth, df_truth = f_all[grid_ix], df_all[grid_ix]
+    key = (scenario.kernel, scenario.grid_size, scenario.n)
+    if key not in laws:
+        laws[key] = _TruthLaw.of(*key)
+    law = laws[key]
+    grid = law.grid
+    f_all, df_all = _draw_fdf(law.sampler, seed=int(rng.integers(2**63)))
+    f_truth, df_truth = f_all[law.grid_ix], df_all[law.grid_ix]
 
-    ys = f_all[obs_ix] + scenario.sigma * rng.standard_normal(scenario.n)
-    data = Dataset(obs_ts, ys)
+    ys = f_all[law.obs_ix] + scenario.sigma * rng.standard_normal(scenario.n)
+    data = Dataset(law.obs_ts, ys)
     try:
         fit = fit_ml(
             data,
@@ -164,8 +202,11 @@ def _replicate(scenario: Scenario, rep: int) -> dict | None:
 
     theta = fit.theta
     mm = marginal_moments(data, theta, grid, need_d2f=True)
-    tdi_vals = _gauss_upper(mm.mu_df, mm.var_df)
-    deti_vals, _, _, _ = _local_eti_from_moments(mm)
+    try:
+        tdi_vals = _gauss_upper(mm.mu_df, mm.var_df)
+        deti_vals, _, _, _ = _local_eti_from_moments(mm)
+    except AssumptionError:  # A4 fails at the fitted theta, e.g. a noise-free fit
+        return None
 
     indicator = (df_truth > 0).astype(float)
     crossings = count_crossings(df_truth, grid)
@@ -205,12 +246,19 @@ def run_study(scenarios) -> StudyResult:
 
     Replicates are keyed by (scenario, replicate index) so the result does
     not depend on evaluation order, and they run in forked workers
-    (`fork_map`).  Fit failures are dropped and counted; degenerate fits
-    stay in the inclusive aggregate and leave the exclusive one, mirroring
-    how weak identifiability shows up in practice.
+    (`fork_map`).  Fit failures, and fits whose posterior violates A4 on
+    the grid, are dropped and counted; degenerate fits stay in the
+    inclusive aggregate and leave the exclusive one, mirroring how weak
+    identifiability shows up in practice.
+
+    The truth law of each (kernel, grid_size, n) is built once per process
+    that runs its replicates, in a memo that lives for this call only: each
+    forked worker fills its own copy, so the parent holds no factor, and a
+    later call factors afresh under its own BLAS thread count.
     """
     scenarios = list(scenarios)
-    done = iter(fork_map(_replicate, [(sc, rep) for sc in scenarios for rep in range(sc.reps)]))
+    laws: dict = {}
+    done = iter(fork_map(_replicate, [(sc, rep, laws) for sc in scenarios for rep in range(sc.reps)]))
     summaries = []
     for scenario in scenarios:
         results = [next(done) for _ in range(scenario.reps)]

@@ -82,6 +82,23 @@ class TestFitCommand:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
+    def test_row_order_changes_only_the_data_digest(self, series_csv, tmp_path):
+        rows = open(series_csv).read().splitlines()
+        body = rows[1:]
+        np.random.default_rng(3).shuffle(body)
+        assert body != rows[1:]
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([rows[0]] + body) + "\n")
+        reports = []
+        for name, path in (("a", series_csv), ("b", str(shuffled))):
+            code, _ = _run(["fit", path, "--out", str(tmp_path / name), "--model", "0:SE",
+                            "--seed", "4", "--restarts", "4", "--grid", "40"])
+            assert code == 0
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        digests = [r["provenance"].pop("data_digest") for r in reports]
+        assert digests[0] != digests[1]
+        assert reports[0] == reports[1]
+
     def test_report_validates_against_schema(self, series_csv, tmp_path):
         import jsonschema
         from trendgp import reporting

@@ -15,6 +15,8 @@ from trendgp.estimation import (
     McmcSamples,
     PriorSpec,
     StudentTPrior,
+    _log_posterior_fn,
+    _ModelSpace,
     default_priors,
     fit_bayes,
     fit_ml,
@@ -227,6 +229,16 @@ class TestFitBayes:
         priors = PriorSpec({"beta0": StudentTPrior(0.0, 1.0, 3.0)})
         with pytest.raises(ValueError, match="no prior"):
             fit_bayes(data, 0, "SE", priors=priors, opts=McmcOptions(chains=1, iters=200))
+
+    def test_target_is_zero_density_where_a4_underflows(self):
+        # log alpha = -400: alpha^2 underflows, so the prior Var[df] is 0
+        ts = np.linspace(0.0, 1.0, 8)
+        data = Dataset(ts, np.sin(3.0 * ts))
+        theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 0.3), 0.1)
+        space = _ModelSpace(0, "SE")
+        log_post = _log_posterior_fn(data, space, default_priors(theta), {}, list(space.names))
+        assert log_post(np.array([0.0, -400.0, math.log(0.3), math.log(0.1)])) == -math.inf
+        assert np.isfinite(log_post(np.array([0.0, 0.0, math.log(0.3), math.log(0.1)])))
 
     def test_prior_recovery_under_flat_likelihood(self):
         # alpha pinned near zero and a huge fixed noise SD make the marginal

@@ -1,10 +1,12 @@
 """Ground-truth simulation machinery and the study harness."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from trendgp import posterior, simulation
 from trendgp.kernels import KernelSpec, MeanSpec
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.simulation import (
@@ -137,3 +139,52 @@ class TestRunStudy:
         assert len(lines) == 3  # header + inclusive + exclusive
         assert lines[1].split(",")[5] == "inclusive"
         assert lines[2].split(",")[5] == "exclusive"
+
+    def test_a4_failure_counts_as_failed(self):
+        # noise-free data: some fitted posteriors have no positive Var[df] on the grid
+        summary = run_study([Scenario(n=50, sigma=0.0, reps=6, seed=1, restarts=4)]).summaries[0]
+        assert summary.failed >= 1
+        assert summary.reps_done + summary.failed == 6
+
+
+class TestTruthLaw:
+    def test_built_once_per_cell_and_call(self, monkeypatch):
+        # serial, so every construction happens in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real = posterior._factor_cov
+        calls = []
+
+        def counted(cov):
+            calls.append(cov.shape)
+            return real(cov)
+
+        monkeypatch.setattr(posterior, "_factor_cov", counted)
+        cell = dict(n=8, reps=3, seed=2, restarts=2, grid_size=21)
+        scenarios = [Scenario(sigma=0.1, **cell), Scenario(sigma=0.3, **cell)]
+        run_study(scenarios)
+        assert len(calls) == 1
+        run_study(scenarios)
+        assert len(calls) == 2  # the memo does not outlive its call
+
+    def test_replicate_truth_is_simulate_gp(self, monkeypatch):
+        # the truth a replicate scores against is simulate_gp's draw, bit for bit
+        scenario = Scenario(n=8, sigma=0.1, reps=1, seed=6, restarts=2, grid_size=21)
+        real = simulation.integrated_residual
+        truths = []
+
+        def spy(truth, estimate, grid):
+            truths.append(np.array(truth))
+            return real(truth, estimate, grid)
+
+        monkeypatch.setattr(simulation, "integrated_residual", spy)
+        assert simulation._replicate(scenario, 0, {}) is not None
+
+        # the replicate's seed stream: the truth seed is its first draw
+        seed_seq = np.random.SeedSequence(entropy=6, spawn_key=(8, int(round(0.1 * 1e9)), 0))
+        seed = int(np.random.default_rng(seed_seq).integers(2**63))
+        grid = np.linspace(0.0, 1.0, 21)
+        all_ts = np.unique(np.concatenate([grid, np.linspace(0.0, 1.0, 8)]))
+        f, df = simulate_gp(Hyperparams(MeanSpec((0.0,)), scenario.kernel, 0.0), all_ts, seed)
+        ix = np.searchsorted(all_ts, grid)
+        assert truths[0].tobytes() == f[ix].tobytes()
+        assert truths[1].tobytes() == df[ix].tobytes()
