@@ -21,6 +21,7 @@ import numpy as np
 from .dataio import DataFormatError, SchemaDriftError, fetch_covid, read_timeseries
 from .estimation import FitError, McmcError
 from .kernels import AssumptionError, InadmissibleOrderError
+from .parallel import one_blas_thread
 from .reporting import AnalysisConfig, ConfigError, run_fit
 from .simulation import Scenario, run_study
 
@@ -242,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    one_blas_thread()
     try:
         return args.func(args)
     except (DataFormatError, ConfigError) as exc:

@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import os
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,10 @@ def fetch_covid(
             text = fh.read()
         source = os.path.abspath(offline_fixture)
     else:
+        # Imported here: with http.client, ssl and email it costs every other
+        # command about 12 ms of start-up.
+        import urllib.request
+
         resolved = url or os.environ.get(COVID_URL_ENV) or DEFAULT_COVID_URL
         with urllib.request.urlopen(resolved, timeout=timeout) as resp:
             text = resp.read().decode("utf-8")

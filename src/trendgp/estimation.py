@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr, dsyrk
 from scipy.linalg.lapack import dtrtri, dtrtrs
 from scipy.optimize import minimize
-from scipy.stats import norm as _norm, t as _t
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_log_param_grads, require_assumptions
 from .posterior import _LOG_2PI, Dataset, FactorizationError, Hyperparams, Posterior, _factor, _gauss_loglik, _whiten
@@ -41,6 +41,15 @@ class McmcError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # priors
+#
+# CDFs and quantiles call the scipy.special functions behind scipy.stats.t
+# and scipy.stats.norm with the same loc/scale arithmetic, so they match
+# scipy.stats bit for bit without importing it (about 0.6 s of start-up).
+
+
+def _t_ppf(df: float, q: float) -> float:
+    # stdtrit(df, 0) is +inf; scipy.stats.t.ppf returns the lower support bound.
+    return -math.inf if q == 0 else float(stdtrit(df, q))
 
 
 def _t_lognorm(df: float, scale: float) -> float:
@@ -70,7 +79,7 @@ class StudentTPrior:
         return self._lognorm - 0.5 * (self.df + 1.0) * math.log1p(z * z / self.df)
 
     def ppf(self, q: float) -> float:
-        return float(_t.ppf(q, self.df, loc=self.loc, scale=self.scale))
+        return _t_ppf(self.df, q) * self.scale + self.loc
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ class HalfStudentTPrior:
     def __post_init__(self):
         if not (self.scale > 0 and self.df > 0):
             raise ValueError("scale and df must be positive")
-        f0 = float(_t.cdf(0.0, self.df, loc=self.loc, scale=self.scale))
+        f0 = float(stdtr(self.df, (0.0 - self.loc) / self.scale))
         object.__setattr__(self, "_cdf0", f0)
         object.__setattr__(self, "_lognorm", _t_lognorm(self.df, self.scale) - math.log1p(-f0))
 
@@ -95,7 +104,7 @@ class HalfStudentTPrior:
         return self._lognorm - 0.5 * (self.df + 1.0) * math.log1p(z * z / self.df)
 
     def ppf(self, q: float) -> float:
-        return float(_t.ppf(self._cdf0 + q * (1.0 - self._cdf0), self.df, loc=self.loc, scale=self.scale))
+        return _t_ppf(self.df, self._cdf0 + q * (1.0 - self._cdf0)) * self.scale + self.loc
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class HalfNormalPrior:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        f0 = float(_norm.cdf(0.0, loc=self.loc, scale=self.scale))
+        f0 = float(ndtr((0.0 - self.loc) / self.scale))
         object.__setattr__(self, "_cdf0", f0)
         object.__setattr__(
             self,
@@ -123,7 +132,7 @@ class HalfNormalPrior:
         return self._lognorm - 0.5 * z * z
 
     def ppf(self, q: float) -> float:
-        return float(_norm.ppf(self._cdf0 + q * (1.0 - self._cdf0), loc=self.loc, scale=self.scale))
+        return float(ndtri(self._cdf0 + q * (1.0 - self._cdf0)) * self.scale + self.loc)
 
 
 @dataclass(frozen=True)

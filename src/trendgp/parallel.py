@@ -47,13 +47,24 @@ def _openblas(verb: str) -> list:
     return funcs
 
 
+def one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    Pool workers call it because the workers already fill the CPUs: a
+    multithreaded BLAS in each one would oversubscribe them, and OpenBLAS
+    threads spin while they wait.  The CLI calls it because at n in the
+    hundreds a multithreaded BLAS makes serial fits slower and its results
+    depend on the thread count (`np.linalg.cholesky` and `eigh` round
+    differently), so report digests would depend on the machine.
+    """
+    for set_threads in _openblas("set"):
+        set_threads(1)
+
+
 def _init_worker() -> None:
     global _in_worker
     _in_worker = True
-    # The workers already fill the CPUs.  A multithreaded BLAS in each one
-    # would oversubscribe them, and OpenBLAS threads spin while they wait.
-    for set_threads in _openblas("set"):
-        set_threads(1)
+    one_blas_thread()
 
 
 def _usable_cpus() -> int:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from . import __version__
 from .estimation import (
@@ -38,7 +38,7 @@ from .posterior import Dataset, Hyperparams, Posterior
 from .selection import CandidateGrid, select_model
 from .transforms import TransformSpec, back_transform_summary, transform_dataset
 
-_Z975 = float(_norm.ppf(0.975))
+_Z975 = float(ndtri(0.975))
 SCHEMA_VERSION = 1
 
 

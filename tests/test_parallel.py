@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trendgp import simulation
+from trendgp.cli import main
 from trendgp.estimation import (
     FitOptions,
     McmcError,
@@ -68,9 +69,8 @@ class TestForkMap:
         with pytest.raises(BrokenProcessPool):
             fork_map(lambda i: os._exit(1) if i == 1 else i, [(i,) for i in range(3)])
 
-    def test_workers_use_one_blas_thread(self, two_cpus):
-        if not _openblas("get"):
-            pytest.skip("no OpenBLAS loaded")
+    def test_workers_use_one_blas_thread(self, two_cpus, blas_threads):
+        blas_threads(2)
         per_worker = fork_map(lambda i: [get() for get in _openblas("get")], [(0,), (1,)])
         assert per_worker == [[1] * len(_openblas("get"))] * 2
 
@@ -189,6 +189,16 @@ def blas_threads():
     yield set_to
     for set_threads, k in zip(_openblas("set"), before):
         set_threads(k)
+
+
+def test_cli_runs_with_one_blas_thread(blas_threads, tmp_path):
+    blas_threads(2)
+    data = _series(12, 4)
+    path = tmp_path / "series.csv"
+    path.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in zip(data.ts.tolist(), data.ys.tolist())))
+    assert main(["fit", str(path), "--out", str(tmp_path / "out"), "--model", "0:SE",
+                 "--restarts", "1", "--no-eti", "--grid", "20"]) == 0
+    assert [get() for get in _openblas("get")] == [1] * len(_openblas("get"))
 
 
 @pytest.mark.parametrize("n", [7, 50, 90])
