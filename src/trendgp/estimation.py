@@ -23,7 +23,7 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_log_param_grads, require_assumptions
 from .posterior import _LOG_2PI, Dataset, FactorizationError, Hyperparams, Posterior, _factor, _gauss_loglik, _whiten
-from .indices import _gauss_upper, _local_eti_from_moments, _simpson
+from .indices import _checked_quadrature, evaluate_indices
 from .parallel import fork_map
 
 # An RQ shape parameter beyond this has numerically converged to the SE
@@ -710,11 +710,7 @@ def index_posterior(
     p = grid.size
     taus = tuple(sorted(taus))
     want_eti = KernelSpec.unit(samples.family).max_order() >= 2
-
-    n_quad += n_quad % 2
-    intervals = [tuple(float(v) for v in iv) for iv in intervals]
-    quad_nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals]
-    all_points = np.concatenate([grid] + quad_nodes) if (want_eti and quad_nodes) else grid
+    intervals, n_quad = _checked_quadrature(intervals, n_quad)
 
     total = samples.n_chains * samples.n_kept
     stride = max(1, math.ceil(total / max_draws))
@@ -728,29 +724,21 @@ def index_posterior(
         for c, i in picks[lo:hi]:
             theta = samples.theta_at(c, i)
             try:
-                mm = Posterior(data, theta).marginal(all_points, need_d2f=want_eti)
+                mm, indices = evaluate_indices(Posterior(data, theta), grid, intervals, want_eti, n_quad)
             except (AssumptionError, FactorizationError):
                 continue
-            level.mu_f[n_level], level.var_f[n_level] = mm.mu_f[:p], mm.var_f[:p]
-            level.mu_df[n_level], level.var_df[n_level] = mm.mu_df[:p], mm.var_df[:p]
+            level.mu_f[n_level], level.var_f[n_level] = mm.mu_f, mm.var_f
+            level.mu_df[n_level], level.var_df[n_level] = mm.mu_df, mm.var_df
             level.noise_var[n_level] = theta.sigma**2
             n_level += 1
             try:
-                tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
-                if want_eti:
-                    rate, _, _, _ = _local_eti_from_moments(mm)
+                tdi_vals, rates, etis = indices()
             except AssumptionError:
                 continue
             tdi_rows.append(tdi_vals)
             if want_eti:
-                eti_rows.append(rate[:p])
-                row = []
-                offset = p
-                for (a, b) in intervals:
-                    h = (b - a) / n_quad if b > a else 0.0
-                    row.append(_simpson(rate[offset : offset + n_quad + 1], h))
-                    offset += n_quad + 1
-                eti_int_rows.append(row)
+                eti_rows.append(rates)
+                eti_int_rows.append(etis)
         rows = (np.array(r, dtype=float).reshape(len(r), width)
                 for r, width in ((tdi_rows, p), (eti_rows, p), (eti_int_rows, len(intervals))))
         return DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))), *rows

@@ -6,12 +6,15 @@ time.  The Expected Trend Instability (ETI) is the expected number of
 sign changes of the derivative on an interval; its local intensity comes
 from the level-crossing rate of the posterior (df, d2f) pair and is
 integrated by composite Simpson quadrature.
+
+`evaluate_indices` gives all three from one `Posterior.marginal` call on a grid
+and the Simpson nodes, for the ML report, the Bayesian draws, the study and `eti`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import erf
@@ -85,7 +88,6 @@ def _gauss_upper(mean, var, threshold=0.0):
 
 def tdi(data: Dataset, theta: Hyperparams, t: float, delta: float = 0.0, threshold: float = 0.0) -> float:
     """Probability that the latent trend at t + delta exceeds `threshold`."""
-    require_assumptions(theta.kernel, require_eti=False)
     mm = marginal_moments(data, theta, [float(t) + float(delta)])
     return float(_gauss_upper(mm.mu_df, mm.var_df, threshold)[0])
 
@@ -98,11 +100,9 @@ def tdi_curve(
     threshold: float = 0.0,
 ) -> TdiCurve:
     """Elementwise TDI over a grid under the anchor reparameterization."""
-    require_assumptions(theta.kernel, require_eti=False)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     mm = marginal_moments(data, theta, grid)
     values = _gauss_upper(mm.mu_df, mm.var_df, threshold)
-    return TdiCurve(grid=grid, values=values, anchor=float(anchor))
+    return TdiCurve(grid=mm.grid, values=values, anchor=float(anchor))
 
 
 def _local_eti_from_moments(mm: MarginalMoments):
@@ -125,7 +125,6 @@ def _local_eti_from_moments(mm: MarginalMoments):
 
 def local_eti(data: Dataset, theta: Hyperparams, t: float) -> tuple[float, LocalEtiTerms]:
     """Local expected rate of trend sign changes at time t."""
-    require_assumptions(theta.kernel, require_eti=True)
     mm = marginal_moments(data, theta, [float(t)], need_d2f=True)
     rate, lam, omega, zeta = _local_eti_from_moments(mm)
     return float(rate[0]), LocalEtiTerms(lam=float(lam[0]), omega=float(omega[0]), zeta=float(zeta[0]))
@@ -133,11 +132,8 @@ def local_eti(data: Dataset, theta: Hyperparams, t: float) -> tuple[float, Local
 
 def local_eti_curve(data: Dataset, theta: Hyperparams, grid) -> tuple[np.ndarray, np.ndarray]:
     """Local ETI over a grid; returns (grid, rates)."""
-    require_assumptions(theta.kernel, require_eti=True)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     mm = marginal_moments(data, theta, grid, need_d2f=True)
-    rate, _, _, _ = _local_eti_from_moments(mm)
-    return grid, rate
+    return mm.grid, _local_eti_from_moments(mm)[0]
 
 
 def _simpson(rate: np.ndarray, h: float) -> float:
@@ -148,25 +144,51 @@ def _simpson(rate: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(w, rate))
 
 
-def _eti(post: Posterior, interval, n_quad: int = 512) -> float:
-    """`eti` under an already conditioned posterior."""
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        if a == b:
-            return 0.0
-        raise ValueError(f"interval must satisfy a <= b, got ({a}, {b})")
+def _checked_quadrature(intervals, n_quad: int) -> tuple[tuple[tuple[float, float], ...], int]:
+    """Intervals as float pairs with a <= b, and the Simpson panel count made even."""
+    intervals = tuple((float(a), float(b)) for a, b in intervals)
+    for a, b in intervals:
+        if not a <= b:
+            raise ValueError(f"interval must satisfy a <= b, got ({a}, {b})")
     if n_quad < 2:
         raise ValueError(f"n_quad must be >= 2, got {n_quad}")
-    n_quad += n_quad % 2  # Simpson needs an even panel count
-    require_assumptions(post.theta.kernel, require_eti=True)
-    mm = post.marginal(np.linspace(a, b, n_quad + 1), need_d2f=True)
-    rate, _, _, _ = _local_eti_from_moments(mm)
-    return _simpson(rate, (b - a) / n_quad)
+    return intervals, n_quad + n_quad % 2
+
+
+def evaluate_indices(post: Posterior, grid, intervals=(), want_eti: bool = True, n_quad: int = 512):
+    """Condition once on the grid and, when ETI is wanted, each interval's Simpson nodes.
+
+    Returns the grid moments and a function giving the TDI and local ETI
+    (None without ETI) on the grid and each interval's ETI.  Only the
+    function applies the pointwise A4 checks, so callers keep the moments of
+    a posterior whose indices are undefined.  Raises ValueError for b < a or
+    n_quad < 2, and AssumptionError (A3) for ETI of a kernel without it.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    intervals, n_quad = _checked_quadrature(intervals, n_quad)
+    if want_eti:
+        require_assumptions(post.theta.kernel, require_eti=True)
+    nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals] if want_eti else []
+    mm = post.marginal(np.concatenate([grid, *nodes]), want_eti)
+    p = grid.size
+
+    def indices() -> tuple[np.ndarray, np.ndarray | None, tuple[float, ...]]:
+        tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
+        if not want_eti:
+            return tdi_vals, None, ()
+        rate, _, _, _ = _local_eti_from_moments(mm)
+        on_nodes = rate[p:].reshape(len(intervals), n_quad + 1)
+        etis = tuple(_simpson(r, (b - a) / n_quad) for r, (a, b) in zip(on_nodes, intervals))
+        return tdi_vals, rate[:p], etis
+
+    on_grid = {f.name: getattr(mm, f.name)[:p] for f in fields(mm) if getattr(mm, f.name) is not None}
+    return replace(mm, **on_grid), indices
 
 
 def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
     """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
-    return _eti(Posterior(data, theta), interval, n_quad)
+    _, indices = evaluate_indices(Posterior(data, theta), [], [interval], n_quad=n_quad)
+    return indices()[2][0]
 
 
 def count_crossings(df_path, grid=None) -> CrossingProcess:

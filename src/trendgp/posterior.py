@@ -276,29 +276,35 @@ class Posterior:
         return JointPosterior(grid=grid, blocks=blocks, mu=np.concatenate(means), sigma_mat=cov)
 
     def marginal(self, grid, need_d2f: bool = False) -> MarginalMoments:
+        """Pointwise moments of f and df (and d2f), in blocks of 256 points.
+
+        Memory is O(256 n), not 9 n p doubles.  Blocks start at multiples of 256,
+        so OpenBLAS dgemv_t splits the posterior-mean rows by 4 as for one block,
+        and a last block of one point joins the one before (a one-column solve
+        takes another BLAS path): the moments equal one whole-grid call's bit for bit."""
         kernel = self.theta.kernel
         max_needed = 2 if need_d2f else 1
         if kernel.max_order() < max_needed:
             raise AssumptionError(
                 f"{kernel.family} does not admit derivative order {max_needed} (assumption A3)"
             )
-        grid, means, whitened = self._conditioned(grid, range(max_needed + 1))
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        # the f and df moments, then with need_d2f those of d2f and cov(df, d2f)
+        mm = MarginalMoments(grid, *(np.empty(grid.size) for _ in range(7 if need_d2f else 4)))
+        bounds = [0, *range(256, grid.size - 1, 256), grid.size]  # an empty grid fails in _conditioned
+        for lo, hi in zip(bounds, bounds[1:]):
+            _, means, whitened = self._conditioned(grid[lo:hi], range(max_needed + 1))
 
-        def var(os: int, ot: int) -> np.ndarray:
-            # prior covariance at zero lag minus the diagonal of the data term
-            prior = kernel_gram(kernel, np.zeros(1), np.zeros(1), os, ot)[0, 0]
-            return prior - np.sum(whitened[os] * whitened[ot], axis=0)
+            def var(os: int, ot: int) -> np.ndarray:
+                # prior covariance at zero lag minus the diagonal of the data term
+                prior = kernel_gram(kernel, np.zeros(1), np.zeros(1), os, ot)[0, 0]
+                return prior - np.sum(whitened[os] * whitened[ot], axis=0)
 
-        return MarginalMoments(
-            grid=grid,
-            mu_f=means[0],
-            var_f=var(0, 0),
-            mu_df=means[1],
-            var_df=var(1, 1),
-            mu_d2f=means[2] if need_d2f else None,
-            var_d2f=var(2, 2) if need_d2f else None,
-            cov_df_d2f=var(1, 2) if need_d2f else None,
-        )
+            mm.mu_f[lo:hi], mm.var_f[lo:hi] = means[0], var(0, 0)
+            mm.mu_df[lo:hi], mm.var_df[lo:hi] = means[1], var(1, 1)
+            if need_d2f:
+                mm.mu_d2f[lo:hi], mm.var_d2f[lo:hi], mm.cov_df_d2f[lo:hi] = means[2], var(2, 2), var(1, 2)
+        return mm
 
 
 def prior_joint(theta: Hyperparams, grid, blocks=None) -> JointPosterior:

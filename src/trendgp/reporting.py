@@ -32,7 +32,7 @@ from .estimation import (
     index_posterior,
     rhat,
 )
-from .indices import TdiCurve, _eti, _gauss_upper, _local_eti_from_moments, crosspoint
+from .indices import TdiCurve, crosspoint, evaluate_indices
 from .kernels import FAMILIES, KernelSpec, require_assumptions
 from .posterior import Dataset, Hyperparams, Posterior
 from .selection import CandidateGrid, select_model
@@ -287,11 +287,10 @@ def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> flo
 def _ml_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
     fit = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
     theta = fit.theta
-    if config.compute_eti:
-        require_assumptions(theta.kernel, require_eti=True)
     post = Posterior(fit_data, theta)
-    mm = post.marginal(grid, need_d2f=config.compute_eti)
-    tdi_c = TdiCurve(grid=grid, values=_gauss_upper(mm.mu_df, mm.var_df), anchor=anchor)
+    mm, indices = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
+    tdi_vals, rates, etis = indices()
+    tdi_c = TdiCurve(grid=grid, values=tdi_vals, anchor=anchor)
     f_lo, f_hi = _gauss_band(mm.mu_f, mm.var_f)
     df_lo, df_hi = _gauss_band(mm.mu_df, mm.var_df)
     pred_lo, pred_hi = _gauss_band(mm.mu_f, mm.var_f + theta.sigma**2)
@@ -305,18 +304,18 @@ def _ml_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
     if config.transform == "identity":
         curves["f"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "original"}
     else:
-        qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed)
+        if tf.kind == "arcsine_sqrt":
+            # sin^2 increases only on [0, pi/2], which the latent band can leave
+            qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed)
+        else:
+            # exp and expit increase on the whole line: they map quantiles of f exactly
+            qs = (tf.inverse(f_lo), tf.inverse(mm.mu_f), tf.inverse(f_hi))
         curves["f"] = _curve_dict(grid, q2_5=qs[0], q50=qs[1], q97_5=qs[2]) | {"scale": "original"}
         # keep the transformed-scale level too; its bands are exact
         curves["f_latent"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "transformed"}
 
-    if config.compute_eti:
-        deti, _, _, _ = _local_eti_from_moments(mm)
-        curves["local_eti"] = _curve_dict(grid, value=deti) | {"scale": scale}
-        eti_block = [{"interval": [a, b], "value": _eti(post, (a, b))} for a, b in intervals]
-    else:
-        curves["local_eti"] = None
-        eti_block = []
+    curves["local_eti"] = None if rates is None else _curve_dict(grid, value=rates) | {"scale": scale}
+    eti_block = [{"interval": [a, b], "value": v} for (a, b), v in zip(intervals, etis)]
 
     cp = _crosspoint_value(tdi_c, config, fit_data.span)
     fit_block = {

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import FitError, FitOptions, fit_ml
-from .indices import _gauss_upper, _local_eti_from_moments, count_crossings
+from .indices import count_crossings, evaluate_indices
 from .kernels import AssumptionError, KernelSpec, MeanSpec
 from .parallel import fork_map
-from .posterior import Dataset, Hyperparams, PathSampler, marginal_moments, prior_joint
+from .posterior import Dataset, Hyperparams, PathSampler, Posterior, prior_joint
 
 
 def paper_truth_kernel() -> KernelSpec:
@@ -205,16 +205,14 @@ def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:
         return None
 
     theta = fit.theta
-    mm = marginal_moments(data, theta, grid, need_d2f=True)
+    mm, indices = evaluate_indices(Posterior(data, theta), grid, [(grid[0], grid[-1])])
     try:
-        tdi_vals = _gauss_upper(mm.mu_df, mm.var_df)
-        deti_vals, _, _, _ = _local_eti_from_moments(mm)
+        tdi_vals, _, (eti_total,) = indices()
     except AssumptionError:  # A4 fails at the fitted theta, e.g. a noise-free fit
         return None
 
     indicator = (df_truth > 0).astype(float)
     crossings = count_crossings(df_truth, grid)
-    eti_total = _trapezoid(deti_vals, grid)
 
     scale_y = max(float(np.std(ys)), 1e-12)
     degenerate = theta.kernel.alpha < 1e-6 * scale_y or theta.sigma < 1e-6 * scale_y

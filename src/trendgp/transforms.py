@@ -2,8 +2,10 @@
 
 Fitting the latent model on g(Y) for a strictly increasing g leaves the
 sign of the trend unchanged, so the TDI on the original scale equals the
-TDI computed under the transformed-scale model.  Summaries of the latent
-level itself are mapped back through g^{-1} by Monte Carlo.
+TDI computed under the transformed-scale model.  Where g^{-1} increases on the
+whole real line (log, logit) it maps latent-level quantiles back exactly; the
+arcsine_sqrt inverse sin^2 folds back outside [0, pi/2], so its level summaries
+come from Monte Carlo in `back_transform_summary`.
 """
 
 from __future__ import annotations

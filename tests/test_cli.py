@@ -3,12 +3,18 @@
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from trendgp.cli import main
 from trendgp.dataio import iso_to_fractional_year, read_timeseries
+from trendgp.estimation import FitOptions, fit_ml
+from trendgp.posterior import Posterior
+from trendgp.transforms import TransformSpec, back_transform_summary, transform_dataset
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "dpc-covid19-ita-andamento-nazionale.csv")
@@ -204,7 +210,34 @@ class TestBayesAndTransformRuns:
         assert f_curve["scale"] == "original"
         assert all(0.0 < v < 1.0 for v in f_curve["q50"])
         assert report["curves"]["f_latent"]["scale"] == "transformed"
+        # the inverse logit is increasing, so it maps the latent quantiles exactly
+        latent = report["curves"]["f_latent"]
+        for q, col in (("q2_5", "lo2_5"), ("q50", "mean"), ("q97_5", "hi97_5")):
+            assert f_curve[q] == expit(latent[col]).tolist()
         assert report["curves"]["tdi"]["scale"] == "transformed"
+
+    def test_arcsine_sqrt_band_near_zero_comes_from_sampled_paths(self, tmp_path):
+        # near 0 the latent band leaves [0, pi/2], where sin^2 folds back and no
+        # longer maps quantiles of f to quantiles of sin^2(f)
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0, 2, 14)
+        path = tmp_path / "low.csv"
+        _write_series(path, ts, np.round(np.abs(0.05 * (1 - ts / 2) + rng.normal(0, 0.005, 14)) ** 2, 8))
+        out = tmp_path / "asin"
+        code, _ = _run(["fit", str(path), "--out", str(out), "--model", "0:SE",
+                        "--transform", "arcsine_sqrt", "--restarts", "4", "--grid", "30",
+                        "--seed", "3"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert min(report["curves"]["f_latent"]["lo2_5"]) < 0.0
+        f_curve = report["curves"]["f"]
+        q = np.array([f_curve["q2_5"], f_curve["q50"], f_curve["q97_5"]])
+        assert np.all(q[0] <= q[1]) and np.all(q[1] <= q[2])
+        tf = TransformSpec("arcsine_sqrt")
+        fit_data = transform_dataset(tf, read_timeseries(str(path))[0])
+        theta = fit_ml(fit_data, 0, "SE", FitOptions(restarts=4, seed=3)).theta
+        jp = Posterior(fit_data, theta).joint(np.array(report["grid"]), blocks=("f",))
+        assert q.tolist() == back_transform_summary(tf, jp, k=4000, seed=3).tolist()
 
     def test_boundary_proportion_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -212,6 +245,30 @@ class TestBayesAndTransformRuns:
         code, _ = _run(["fit", str(path), "--out", str(tmp_path / "x"), "--model", "0:SE",
                         "--transform", "logit"])
         assert code == 2
+
+
+_ROW_ORDER_TS = np.linspace(0.0, 2.0, 9)
+_ROW_ORDER_YS = np.round(np.sin(2.0 * _ROW_ORDER_TS) + np.random.default_rng(4).normal(0.0, 0.15, 9), 4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(9)))
+def test_row_order_changes_only_the_data_digest(order):
+    # read_timeseries sorts the rows by time, so the file's row order reaches
+    # the report only through the digest of its bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for name, rows in (("sorted", range(9)), ("shuffled", order)):
+            path = os.path.join(tmp, f"{name}.csv")
+            _write_series(path, _ROW_ORDER_TS[list(rows)], _ROW_ORDER_YS[list(rows)])
+            code, _ = _run(["fit", path, "--out", os.path.join(tmp, name), "--model", "0:SE",
+                            "--restarts", "2"])
+            assert code == 0
+            with open(os.path.join(tmp, name, "report.json")) as fh:
+                reports.append(json.load(fh))
+    digests = [r["provenance"].pop("data_digest") for r in reports]
+    assert reports[0] == reports[1]
+    assert (digests[0] == digests[1]) == (list(order) == list(range(9)))
 
 
 class TestQueryCommands:

@@ -269,23 +269,27 @@ class TestFitBayes:
                 assert abs(np.quantile(draws, q) - prior.ppf(q)) <= 3 * se + 1e-3
 
 
+def _constant_samples(values: dict) -> McmcSamples:
+    """Two chains of two identical SE draws at the given parameter values."""
+    names = ("beta0", "alpha", "rho", "sigma")
+    return McmcSamples(
+        param_names=names,
+        draws=np.array([[[values[k] for k in names]] * 2] * 2),
+        warmup=0,
+        seed=0,
+        acceptance=np.array([0.3, 0.3]),
+        degree=0,
+        family="SE",
+        fixed={},
+    )
+
+
 class TestIndexPosterior:
     def test_single_draw_collapses_to_plugin(self, rng):
         data, theta = random_instance(rng, n=6, families=("SE",))
         values = {"beta0": 0.1, "alpha": theta.kernel.alpha, "rho": theta.kernel.rho,
                   "sigma": max(theta.sigma, 0.05)}
-        draws = np.array([[[values["beta0"], values["alpha"], values["rho"], values["sigma"]],
-                           [values["beta0"], values["alpha"], values["rho"], values["sigma"]]]] * 2)
-        samples = McmcSamples(
-            param_names=("beta0", "alpha", "rho", "sigma"),
-            draws=draws,
-            warmup=0,
-            seed=0,
-            acceptance=np.array([0.3, 0.3]),
-            degree=0,
-            family="SE",
-            fixed={},
-        )
+        samples = _constant_samples(values)
         plug = Hyperparams(MeanSpec((values["beta0"],)),
                            KernelSpec("SE", values["alpha"], values["rho"]), values["sigma"])
         grid = np.linspace(data.ts[0], data.ts[-1], 7)
@@ -301,6 +305,17 @@ class TestIndexPosterior:
                 )
         want_eti = eti(data, plug, interval, n_quad=64)
         assert np.allclose(idx.eti_draws[interval], want_eti, rtol=1e-9)
+
+    @pytest.mark.parametrize("interval, n_quad", [((0.8, 0.2), 256), ((0.2, 0.8), 0)],
+                             ids=["reversed-interval", "no-panels"])
+    def test_rejects_what_eti_rejects(self, interval, n_quad):
+        data = Dataset(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6) ** 2)
+        samples = _constant_samples({"beta0": 0.1, "alpha": 1.0, "rho": 0.4, "sigma": 0.1})
+        with pytest.raises(ValueError):
+            eti(data, samples.theta_at(0, 0), interval, n_quad=n_quad)
+        with pytest.raises(ValueError):
+            index_posterior(data, samples, np.linspace(0.0, 1.0, 5), anchor=1.0,
+                            intervals=(interval,), n_quad=n_quad)
 
     def test_level_moments_match_per_draw_reference(self, rng):
         # the one pass over the draws returns the grid moments a separate

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trendgp import simulation
+from trendgp.estimation import FitOptions, fit_ml
 from trendgp.indices import (
     TdiCurve,
     count_crossings,
@@ -19,6 +21,7 @@ from trendgp.indices import (
 )
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
 from trendgp.posterior import Dataset, Hyperparams, joint_posterior, sample_paths
+from trendgp.reporting import AnalysisConfig, run_fit
 
 from conftest import count_sign_flips, random_instance
 
@@ -295,3 +298,49 @@ def test_tdi_in_unit_interval_and_eti_nonnegative(instance):
     _, rates = local_eti_curve(data, theta, grid)
     assert np.all(rates >= 0.0)
     assert eti(data, theta, interval, n_quad=64) >= 0.0
+
+
+class TestOnePath:
+    """Reports and studies take their indices from the path the public functions use.
+
+    The values agree to a few ulp, not always bit for bit: the same point can sit
+    at another row of a 256-point block in the two calls, and the BLAS kernels may
+    sum the last rows of a block in another order.
+    """
+
+    def test_ml_report_matches_the_public_functions(self):
+        rng = np.random.default_rng(11)
+        ts = np.linspace(0.0, 2.0, 14)
+        data = Dataset(ts, np.sin(2.0 * ts) + rng.normal(0.0, 0.15, ts.size))
+        config = AnalysisConfig(model="0:SE", restarts=2, intervals=((0.0, 2.0), (0.5, 1.25), (1.0, 1.0)))
+        report = run_fit(data, config, "digest").payload
+        theta = fit_ml(data, 0, "SE", FitOptions(restarts=2, seed=0)).theta
+        grid = np.linspace(0.0, 2.0, 500)
+        assert report["grid"] == grid.tolist()
+        curves = report["curves"]
+        np.testing.assert_allclose(curves["tdi"]["value"], tdi_curve(data, theta, grid, anchor=2.0).values,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(curves["local_eti"]["value"], local_eti_curve(data, theta, grid)[1],
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose([e["value"] for e in report["eti"]],
+                                   [eti(data, theta, iv) for iv in config.intervals], rtol=1e-13, atol=0.0)
+
+    def test_study_replicate_eti_matches_eti(self, monkeypatch):
+        seen = {}
+
+        def fit_ml(data, *args):
+            fit = real_fit(data, *args)
+            seen["data"], seen["theta"] = data, fit.theta
+            return fit
+
+        def count_crossings(*args):
+            seen["crossings"] = real_count(*args).total
+            return real_count(*args)
+
+        real_fit, real_count = simulation.fit_ml, simulation.count_crossings
+        monkeypatch.setattr(simulation, "fit_ml", fit_ml)
+        monkeypatch.setattr(simulation, "count_crossings", count_crossings)
+        row = simulation._replicate(simulation.Scenario(n=20, sigma=0.1, reps=1, seed=3, restarts=2), 0, {})
+        resid = seen["crossings"] - eti(seen["data"], seen["theta"], (0.0, 1.0))
+        assert row["int_resid_eti"] == pytest.approx(resid, rel=1e-13, abs=0.0)
+        assert row["l2_eti"] == pytest.approx(resid**2, rel=1e-13, abs=0.0)

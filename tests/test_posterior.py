@@ -2,11 +2,12 @@
 
 import csv
 import os
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trendgp.dataio import iso_to_fractional_year
 from trendgp.indices import tdi_curve
@@ -249,18 +250,27 @@ class TestPosteriorFactorOnce:
         st.sampled_from(["SE", "RQ", "M52", "M32"]),
         st.sampled_from([0, 1, 2, 7, 15]),
         st.integers(0, 2**31 - 1),
-        st.integers(1, 8),
-        st.lists(st.floats(-10.0, 15.0), min_size=1, max_size=20),
+        st.integers(1, 130),
+        st.one_of(st.integers(1, 300), st.just(None)),
     )
-    def test_grid_moments_ignore_extra_points(self, family, n, seed, quads, extra):
+    @example("SE", 7, 3, 64, 1)  # 257 points: a final block of one point
+    @example("M52", 15, 4, 128, 1)  # 513 points
+    @example("RQ", 2, 5, 125, None)  # 500-point grid, as in the report, plus its nodes
+    def test_grid_moments_ignore_extra_points(self, family, n, seed, quads, n_extra):
         # Extra points may leave the data span; the first p moments keep every
-        # bit.  The grid holds a multiple of 4 points, as the 500-point report
-        # grid does: BLAS matrix-vector kernels (OpenBLAS dgemv_t on x86) take
-        # the last p mod 4 rows of the posterior-mean product through another
+        # bit, also where the grid and the extra points straddle the blocks of
+        # `Posterior.marginal`.  n_extra None makes the total 1 mod 256.  The
+        # grid holds a multiple of 4 points, as the 500-point report grid
+        # does: BLAS matrix-vector kernels (OpenBLAS dgemv_t on x86) take the
+        # last p mod 4 rows of the posterior-mean product through another
         # accumulation order, which can move those means by an ulp.
         data, theta = _instance(family, n, seed)
         lo, hi = data.span if n else (0.0, 1.0)
-        grid = np.random.default_rng(seed).uniform(lo - 1.0, hi + 1.0, 4 * quads)
+        rng = np.random.default_rng(seed)
+        grid = rng.uniform(lo - 1.0, hi + 1.0, 4 * quads)
+        if n_extra is None:
+            n_extra = (1 - grid.size) % 256
+        extra = rng.uniform(-10.0, 15.0, n_extra)
         need_d2f = theta.kernel.max_order() >= 2
         alone = marginal_moments(data, theta, grid, need_d2f=need_d2f)
         joined = marginal_moments(data, theta, np.concatenate([grid, extra]), need_d2f=need_d2f)
@@ -270,6 +280,22 @@ class TestPosteriorFactorOnce:
                 assert b is None
                 continue
             assert np.array_equal(a.view(np.int64), b[: grid.size].view(np.int64)), name
+
+    def test_marginal_memory_is_bounded_by_the_block(self):
+        # One block of p points would hold about 9 n p doubles (65 MB here);
+        # blocks of 256 points keep the peak under 12 n 256 doubles (7.4 MB).
+        n, p = 300, 3000
+        ts = np.linspace(0.0, 1.0, n)
+        data = Dataset(ts, np.sin(6.0 * ts))
+        post = Posterior(data, _theta(rho=0.3, sigma=0.1))
+        grid = np.linspace(-0.1, 1.1, p)
+        tracemalloc.start()
+        try:
+            post.marginal(grid, need_d2f=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * 256 * 8, peak
 
     @pytest.mark.parametrize("family", ["SE", "RQ", "M52", "M32"])
     @pytest.mark.parametrize("n", [0, 1, 6])
