@@ -13,7 +13,7 @@ random-walk Metropolis chain targeting prior x marginal likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.blas import dsyr, dsyrk
@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .kernels import AssumptionError, KernelSpec, MeanSpec, kernel_log_param_grads, require_assumptions
+from .kernels import FAMILIES, AssumptionError, KernelSpec, MeanSpec, kernel_log_param_grads, require_order
 from .posterior import _LOG_2PI, Dataset, FactorizationError, Hyperparams, Posterior, _factor, _gauss_loglik, _whiten
 from .indices import _checked_quadrature, evaluate_indices
 from .parallel import fork_map
@@ -179,6 +179,8 @@ class _ModelSpace:
     def __init__(self, degree: int, family: str):
         if degree not in (0, 1, 2):
             raise ValueError(f"mean degree must be 0, 1 or 2, got {degree}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
         self.degree = degree
         self.family = family
         self.beta_names = tuple(f"beta{j}" for j in range(degree + 1))
@@ -328,7 +330,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
         raise ValueError(f"maximum-likelihood fitting needs n >= 3 observations, got {data.n}")
     opts = opts or FitOptions()
     space = _ModelSpace(degree, family)
-    require_assumptions(KernelSpec.unit(family))
+    require_order(family, 1)
     design = np.vander(data.ts, space.degree + 1, increasing=True)
     if not np.all(np.isfinite(design)):
         raise FitError("the mean design matrix has non-finite entries")
@@ -395,15 +397,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     theta = Hyperparams(MeanSpec(betas), kernel, values["sigma"])
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:
-        se_fit = fit_ml(data, degree, "SE", opts)
-        return FitResult(
-            theta=se_fit.theta,
-            loglik=se_fit.loglik,
-            converged=se_fit.converged,
-            substituted_from="RQ",
-            start_logliks=se_fit.start_logliks,
-            n_failed_restarts=se_fit.n_failed_restarts,
-        )
+        return replace(fit_ml(data, degree, "SE", opts), substituted_from="RQ")
     return FitResult(
         theta=theta,
         loglik=ll,
@@ -481,8 +475,7 @@ def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixe
         try:
             theta = space.theta(values)
             ll = Posterior(data, theta).loglik
-        except (FactorizationError, AssumptionError, ValueError, OverflowError):
-            # AssumptionError: A4 fails numerically, say when alpha^2 underflows
+        except (FactorizationError, ValueError, OverflowError):
             return -math.inf
         return lp + ll if np.isfinite(ll) else -math.inf
 
@@ -508,7 +501,7 @@ def fit_bayes(
         raise ValueError(f"Bayesian fitting needs n >= 3 observations, got {data.n}")
     opts = opts or McmcOptions()
     space = _ModelSpace(degree, family)
-    require_assumptions(KernelSpec.unit(family))
+    require_order(family, 1)
     if priors is None:
         ml = fit_ml(data, degree, family)
         priors = default_priors(ml.theta)
@@ -607,12 +600,17 @@ def fit_bayes(
     )
 
 
+# The fewest chains, and post-warmup draws per chain, that rhat accepts.
+RHAT_MIN_CHAINS = 2
+RHAT_MIN_KEPT = 100
+
+
 def rhat(samples: McmcSamples, param: str) -> float:
     """Split potential scale reduction factor for one parameter."""
-    if samples.n_chains < 2:
-        raise ValueError("rhat needs at least 2 chains")
-    if samples.n_kept < 100:
-        raise ValueError("rhat needs at least 100 post-warmup draws per chain")
+    if samples.n_chains < RHAT_MIN_CHAINS:
+        raise ValueError(f"rhat needs at least {RHAT_MIN_CHAINS} chains")
+    if samples.n_kept < RHAT_MIN_KEPT:
+        raise ValueError(f"rhat needs at least {RHAT_MIN_KEPT} post-warmup draws per chain")
     j = samples.param_names.index(param)
     half = samples.n_kept // 2
     chains = []
@@ -668,6 +666,9 @@ class DrawMoments:
     noise_var: np.ndarray  # (draws,)
 
 
+_TAUS = (0.025, 0.5, 0.975)
+
+
 @dataclass(frozen=True)
 class IndexPosterior:
     tdi: QuantileCurve
@@ -677,7 +678,7 @@ class IndexPosterior:
     n_used: int
     level: DrawMoments
 
-    def eti_quantiles(self, interval, taus=(0.025, 0.5, 0.975)) -> dict:
+    def eti_quantiles(self, interval, taus=_TAUS) -> dict:
         draws = self.eti_draws[tuple(float(v) for v in interval)]
         return {tau: float(np.quantile(draws, tau)) for tau in taus}
 
@@ -692,24 +693,25 @@ def index_posterior(
     samples: McmcSamples,
     grid,
     anchor: float,
-    taus: tuple[float, ...] = (0.025, 0.5, 0.975),
+    want_eti: bool = True,
     intervals: tuple = (),
     n_quad: int = 256,
     max_draws: int = 2000,
 ) -> IndexPosterior:
-    """Push MCMC draws through the trend indices and summarize by quantiles.
+    """Push MCMC draws through the trend indices and summarize by quantiles (2.5%, 50%, 97.5%).
 
     The one pass over the thinned draws: each draw is conditioned once and
-    evaluated once on the grid and the quadrature nodes together.  Draws
-    where assumption A4 fails at some evaluation point are skipped and
-    counted, but their grid moments are kept in `level` when the
-    factorization itself succeeded.  For families without a curvature
-    process only the TDI is summarized.
+    evaluated once on the grid and, with `want_eti`, the quadrature nodes
+    together; without it no curvature moments are computed.  Draws where
+    assumption A4 fails at some evaluation point are skipped and counted;
+    their grid moments stay in `level` if they factorized.  Raises AssumptionError (A3)
+    for `want_eti` without a curvature process, ValueError for max_draws < 1.
     """
+    require_order(samples.family, 2 if want_eti else 1)
+    if max_draws < 1:
+        raise ValueError(f"max_draws must be >= 1, got {max_draws}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     p = grid.size
-    taus = tuple(sorted(taus))
-    want_eti = KernelSpec.unit(samples.family).max_order() >= 2
     intervals, n_quad = _checked_quadrature(intervals, n_quad)
 
     total = samples.n_chains * samples.n_kept
@@ -725,7 +727,7 @@ def index_posterior(
             theta = samples.theta_at(c, i)
             try:
                 mm, indices = evaluate_indices(Posterior(data, theta), grid, intervals, want_eti, n_quad)
-            except (AssumptionError, FactorizationError):
+            except FactorizationError:
                 continue
             level.mu_f[n_level], level.var_f[n_level] = mm.mu_f, mm.var_f
             level.mu_df[n_level], level.var_df[n_level] = mm.mu_df, mm.var_df
@@ -755,11 +757,11 @@ def index_posterior(
     if not n_used:
         raise McmcError("every MCMC draw failed the pointwise assumption checks")
 
-    tdi_q = QuantileCurve(grid=grid, taus=taus, values=np.quantile(tdi_arr, list(taus), axis=0))
+    tdi_q = QuantileCurve(grid=grid, taus=_TAUS, values=np.quantile(tdi_arr, list(_TAUS), axis=0))
     local_q = None
     eti_draws: dict = {}
     if want_eti:
-        local_q = QuantileCurve(grid=grid, taus=taus, values=np.quantile(eti_arr, list(taus), axis=0))
+        local_q = QuantileCurve(grid=grid, taus=_TAUS, values=np.quantile(eti_arr, list(_TAUS), axis=0))
         eti_draws = {iv: int_arr[:, j] for j, iv in enumerate(intervals)}
     return IndexPosterior(
         tdi=tdi_q,

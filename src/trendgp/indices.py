@@ -166,8 +166,6 @@ def evaluate_indices(post: Posterior, grid, intervals=(), want_eti: bool = True,
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     intervals, n_quad = _checked_quadrature(intervals, n_quad)
-    if want_eti:
-        require_assumptions(post.theta.kernel, require_eti=True)
     nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals] if want_eti else []
     mm = post.marginal(np.concatenate([grid, *nodes]), want_eti)
     p = grid.size

@@ -76,11 +76,6 @@ class KernelSpec:
         elif self.nu is not None:
             raise ValueError(f"nu is only meaningful for the RQ family, got nu={self.nu} for {self.family}")
 
-    @classmethod
-    def unit(cls, family: str) -> "KernelSpec":
-        """The family at unit parameters: a probe for checks that depend on the family alone."""
-        return cls(family, 1.0, 1.0, 1.0 if family == "RQ" else None)
-
     def max_order(self) -> int:
         return _MAX_ORDER[self.family]
 
@@ -122,15 +117,30 @@ def mean_eval(spec: MeanSpec, deriv_order: int, t):
     return out if out.ndim else float(out)
 
 
+def order_violation(family: str, order: int) -> AssumptionViolation | None:
+    """Assumption A3: the family admits derivatives up to `order` (1 for TDI, 2 for ETI).
+
+    It depends on the family alone, so a run decides it once, before any fit."""
+    m = _MAX_ORDER[family]
+    if m >= order:
+        return None
+    need = "ETI needs the curvature process" if order == 2 else "TDI needs the derivative process"
+    return AssumptionViolation("A3", f"the {family} covariance admits derivatives up to order {m}, but {need}")
+
+
+def require_order(family: str, order: int) -> None:
+    """Raise AssumptionError when order_violation reports one."""
+    violation = order_violation(family, order)
+    if violation is not None:
+        raise AssumptionError(str(violation))
+
+
 def _check_order(spec: KernelSpec, order_s: int, order_t: int) -> None:
     if not (0 <= order_s <= 2 and 0 <= order_t <= 2):
         raise ValueError(f"derivative orders must lie in 0..2, got ({order_s}, {order_t})")
-    m = spec.max_order()
-    if order_s > m or order_t > m:
-        raise InadmissibleOrderError(
-            f"{spec.family} does not admit the ({order_s}, {order_t}) mixed partial; "
-            f"assumption A3 limits it to orders up to ({m}, {m})"
-        )
+    violation = order_violation(spec.family, max(order_s, order_t))
+    if violation is not None:
+        raise InadmissibleOrderError(f"no ({order_s}, {order_t}) mixed partial: {violation}")
 
 
 def _derivs_se(alpha: float, rho: float, u: np.ndarray, order: int) -> np.ndarray:
@@ -281,23 +291,15 @@ def kernel_log_param_grads(spec: KernelSpec, u) -> np.ndarray:
 
 
 def validate_assumptions(spec: KernelSpec, require_eti: bool = False) -> AssumptionViolation | None:
-    """Check whether the family supports the requested trend indices.
+    """Check whether the spec supports the requested trend indices.
 
     Returns None when the spec is admissible, otherwise an
-    AssumptionViolation naming the failed assumption.  TDI needs the
-    derivative process (orders up to (1,1)); ETI additionally needs the
-    curvature process (orders up to (2,2)).
+    AssumptionViolation naming the failed assumption: A3 from
+    order_violation (order 1 for TDI, 2 for ETI), then A4 from the prior.
     """
-    if spec.family == "OU":
-        return AssumptionViolation(
-            "A3", "the Ornstein-Uhlenbeck covariance is not mean-squared differentiable"
-        )
-    if spec.family == "M32" and require_eti:
-        return AssumptionViolation(
-            "A3",
-            "Matern 3/2 has no continuous mixed third-order partials at the diagonal; "
-            "it cannot be used when the Expected Trend Instability is required",
-        )
+    violation = order_violation(spec.family, 2 if require_eti else 1)
+    if violation is not None:
+        return violation
 
     # Numeric probe of A4 at an arbitrary point (stationarity makes the
     # choice irrelevant): the derivative must have positive variance and,
@@ -306,9 +308,7 @@ def validate_assumptions(spec: KernelSpec, require_eti: bool = False) -> Assumpt
     var_df = kernel_partial(spec, 1, 1, 0.0, 0.0)
     if not var_df > 0.0:
         return AssumptionViolation("A4", f"Var[df] = {var_df:g} is not positive under the prior")
-    if require_eti or spec.max_order() >= 2:
-        if spec.family == "M32":
-            return None  # TDI-only use; no curvature process to probe
+    if spec.max_order() >= 2:
         var_d2f = kernel_partial(spec, 2, 2, 0.0, 0.0)
         if not var_d2f > 0.0:
             return AssumptionViolation("A4", f"Var[d2f] = {var_d2f:g} is not positive under the prior")

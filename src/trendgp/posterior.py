@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .kernels import (
-    AssumptionError,
-    KernelSpec,
-    MeanSpec,
-    kernel_gram,
-    mean_eval,
-    require_assumptions,
-)
+from .kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval, require_order
 
 BLOCK_ORDER = ("f", "df", "d2f")
 _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
@@ -146,23 +139,15 @@ class MarginalMoments:
     cov_df_d2f: np.ndarray | None = None
 
 
-def _auto_blocks(kernel: KernelSpec) -> tuple[str, ...]:
-    return BLOCK_ORDER[: kernel.max_order() + 1]
-
-
 def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
     if blocks is None:
-        return _auto_blocks(kernel)
+        return BLOCK_ORDER[: kernel.max_order() + 1]
     blocks = tuple(blocks)
     if not blocks or any(b not in BLOCK_ORDER for b in blocks):
         raise ValueError(f"blocks must be a non-empty subset of {BLOCK_ORDER}, got {blocks}")
     if list(blocks) != [b for b in BLOCK_ORDER if b in blocks]:
         raise ValueError(f"blocks must respect the order {BLOCK_ORDER}, got {blocks}")
-    need = max(_DERIV_ORDER[b] for b in blocks)
-    if need > kernel.max_order():
-        raise AssumptionError(
-            f"{kernel.family} does not admit the {blocks[-1]} block (assumption A3)"
-        )
+    require_order(kernel.family, _DERIV_ORDER[blocks[-1]])
     return blocks
 
 
@@ -226,7 +211,7 @@ class Posterior:
     """
 
     def __init__(self, data: Dataset, theta: Hyperparams):
-        require_assumptions(theta.kernel, require_eti=False)
+        require_order(theta.kernel.family, 1)
         self.data = data
         self.theta = theta
         self.chol = _factor(data, theta.kernel, theta.sigma)
@@ -284,10 +269,7 @@ class Posterior:
         takes another BLAS path): the moments equal one whole-grid call's bit for bit."""
         kernel = self.theta.kernel
         max_needed = 2 if need_d2f else 1
-        if kernel.max_order() < max_needed:
-            raise AssumptionError(
-                f"{kernel.family} does not admit derivative order {max_needed} (assumption A3)"
-            )
+        require_order(kernel.family, max_needed)
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         # the f and df moments, then with need_d2f those of d2f and cov(df, d2f)
         mm = MarginalMoments(grid, *(np.empty(grid.size) for _ in range(7 if need_d2f else 4)))

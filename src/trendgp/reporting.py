@@ -12,13 +12,15 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
 from .estimation import (
+    RHAT_MIN_CHAINS,
+    RHAT_MIN_KEPT,
     DrawMoments,
     FitOptions,
     HalfNormalPrior,
@@ -33,7 +35,7 @@ from .estimation import (
     rhat,
 )
 from .indices import TdiCurve, crosspoint, evaluate_indices
-from .kernels import FAMILIES, KernelSpec, require_assumptions
+from .kernels import FAMILIES, AssumptionError, order_violation, require_order
 from .posterior import Dataset, Hyperparams, Posterior
 from .selection import CandidateGrid, select_model
 from .transforms import TransformSpec, back_transform_summary, transform_dataset
@@ -87,21 +89,23 @@ class AnalysisConfig:
         return degree, family
 
     def validate(self, data: Dataset) -> None:
-        self.parsed_model()
+        """Reject a configuration before any fit: ConfigError, or AssumptionError (A3)."""
+        parsed = self.parsed_model()
         if self.estimator not in ("ml", "bayes"):
             raise ConfigError(f"estimator must be 'ml' or 'bayes', got {self.estimator!r}")
+        # R-hat's draws per chain come after a warmup of half the iterations
+        if self.estimator == "bayes" and (self.chains < RHAT_MIN_CHAINS
+                                          or self.iters - self.iters // 2 < RHAT_MIN_KEPT):
+            raise ConfigError(f"R-hat needs >= {RHAT_MIN_CHAINS} chains and >= {2 * RHAT_MIN_KEPT - 1} "
+                              f"iterations, got {self.chains} and {self.iters}")
+        if self.estimator == "bayes" and self.max_draws < 1:
+            raise ConfigError(f"max draws must be >= 1, got {self.max_draws}")
         if self.grid_size < 2:
             raise ConfigError(f"grid size must be >= 2, got {self.grid_size}")
         if self.transform not in ("identity", "log", "logit", "arcsine_sqrt"):
             raise ConfigError(f"unknown transform {self.transform!r}")
         if self.selection_scheme not in ("loo", "osa"):
             raise ConfigError(f"selection scheme must be 'loo' or 'osa', got {self.selection_scheme!r}")
-        if self.model == "auto":
-            try:
-                CandidateGrid(degrees=tuple(self.candidate_degrees),
-                              families=tuple(self.candidate_families))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         lo, hi = data.span
         if not self.forecast:
             for a, b in self.resolved_intervals(data):
@@ -114,6 +118,24 @@ class AnalysisConfig:
                 raise ConfigError(
                     f"anchor {self.anchor} lies outside the data span; pass --forecast to allow it"
                 )
+        if parsed is None:
+            self.candidate_grid()
+        else:
+            require_order(parsed[1], 2 if self.compute_eti else 1)
+
+    def candidate_grid(self) -> CandidateGrid:
+        """The auto-selection grid less the families that cannot give the reported indices (A3).
+
+        Raises ConfigError for an invalid grid and AssumptionError when no family is left."""
+        try:
+            grid = CandidateGrid(degrees=tuple(self.candidate_degrees),
+                                 families=tuple(self.candidate_families))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        violations = [order_violation(f, 2 if self.compute_eti else 1) for f in grid.families]
+        if all(violations):
+            raise AssumptionError(str(violations[0]))
+        return replace(grid, families=tuple(f for f, v in zip(grid.families, violations) if v is None))
 
     def resolved_intervals(self, data: Dataset) -> tuple:
         if not self.compute_eti:
@@ -217,7 +239,7 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
     if parsed is None:
         sel = select_model(
             fit_data,
-            CandidateGrid(degrees=config.candidate_degrees, families=config.candidate_families),
+            config.candidate_grid(),
             scheme=config.selection_scheme,
             opts=FitOptions(restarts=config.restarts, seed=config.seed),
         )
@@ -342,8 +364,6 @@ def _theta_params(theta: Hyperparams) -> dict:
 
 
 def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
-    if config.compute_eti:
-        require_assumptions(KernelSpec.unit(family), require_eti=True)
     ml = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
     if ml.substituted_from == "RQ":
         family = "SE"
@@ -362,6 +382,7 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         samples,
         grid,
         anchor,
+        want_eti=config.compute_eti,
         intervals=intervals,
         max_draws=config.max_draws,
     )
@@ -381,22 +402,18 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         )
         | {"scale": scale},
     }
-    if config.compute_eti and idx.local_eti is not None:
-        curves["local_eti"] = _curve_dict(
-            grid,
-            q2_5=idx.local_eti.at(taus[0]),
-            q50=idx.local_eti.at(taus[1]),
-            q97_5=idx.local_eti.at(taus[2]),
-        ) | {"scale": scale}
-        eti_block = []
-        for iv in intervals:
-            qs = idx.eti_quantiles(iv)
-            eti_block.append(
-                {"interval": [iv[0], iv[1]], "q2_5": qs[0.025], "q50": qs[0.5], "q97_5": qs[0.975]}
-            )
-    else:
-        curves["local_eti"] = None
-        eti_block = []
+    curves["local_eti"] = None if idx.local_eti is None else _curve_dict(
+        grid,
+        q2_5=idx.local_eti.at(taus[0]),
+        q50=idx.local_eti.at(taus[1]),
+        q97_5=idx.local_eti.at(taus[2]),
+    ) | {"scale": scale}
+    eti_block = []
+    for iv in intervals:  # none without ETI
+        qs = idx.eti_quantiles(iv)
+        eti_block.append(
+            {"interval": [iv[0], iv[1]], "q2_5": qs[0.025], "q50": qs[0.5], "q97_5": qs[0.975]}
+        )
 
     median_curve = TdiCurve(grid=grid, values=idx.tdi.at(taus[1]), anchor=anchor)
     cp = _crosspoint_value(median_curve, config, fit_data.span)

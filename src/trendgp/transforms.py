@@ -1,11 +1,12 @@
 """Monotone outcome transformations and mapping trend statements back.
 
 Fitting the latent model on g(Y) for a strictly increasing g leaves the
-sign of the trend unchanged, so the TDI on the original scale equals the
-TDI computed under the transformed-scale model.  Where g^{-1} increases on the
-whole real line (log, logit) it maps latent-level quantiles back exactly; the
-arcsine_sqrt inverse sin^2 folds back outside [0, pi/2], so its level summaries
-come from Monte Carlo in `back_transform_summary`.
+sign of the trend unchanged where g^{-1} increases, so there the TDI on the
+original scale equals the TDI under the transformed-scale model.  Where g^{-1}
+increases on the whole real line (log, logit) it maps latent-level quantiles
+back exactly; the arcsine_sqrt inverse sin^2 folds back outside [0, pi/2], so
+its TDI identity holds only while the latent level stays there (ROADMAP item
+3) and its level summaries come from Monte Carlo in `back_transform_summary`.
 """
 
 from __future__ import annotations
@@ -66,16 +67,16 @@ class TransformSpec:
             return expit(z)
         return np.sin(z) ** 2
 
-    def deriv(self, y):
-        """g'(y) on the domain interior; strictly positive."""
-        y = np.asarray(y, dtype=float)
+    def inverse_deriv(self, z):
+        """(g^{-1})'(z) on the whole line; negative where sin^2 decreases (arcsine_sqrt)."""
+        z = np.asarray(z, dtype=float)
         if self.kind == "identity":
-            return np.ones_like(y)
+            return np.ones_like(z)
         if self.kind == "log":
-            return 1.0 / y
+            return np.exp(z)
         if self.kind == "logit":
-            return 1.0 / (y * (1.0 - y))
-        return 1.0 / (2.0 * np.sqrt(y * (1.0 - y)))
+            return expit(z) * expit(-z)
+        return np.sin(2.0 * z)
 
 
 def transform_dataset(spec: TransformSpec, data: Dataset) -> Dataset:
@@ -108,10 +109,10 @@ def tdi_original_scale(
 ) -> float:
     """TDI of the original-scale outcome under a model fitted on g(Y).
 
-    Since g is strictly increasing, sign(d/dt g^{-1}(h)) = sign(dh), so the
-    exact pathway is just the transformed-scale TDI.  The Monte-Carlo
-    pathway samples (h, dh) pairs and evaluates the original-scale trend
-    dh * 1/g'(g^{-1}(h)) directly; it exists to verify the identity.
+    The exact pathway is the transformed-scale TDI, since sign(d/dt g^{-1}(h))
+    = sign(dh) where g^{-1} increases: for arcsine_sqrt, only while h stays in
+    [0, pi/2] (ROADMAP item 3).  The Monte-Carlo pathway samples (h, dh) pairs
+    and evaluates the original-scale trend (g^{-1})'(h) * dh, to check that.
     """
     tdata = transform_dataset(spec, data)
     if method == "exact":
@@ -121,8 +122,7 @@ def tdi_original_scale(
     jp = joint_posterior(tdata, theta, [float(t) + float(delta)], blocks=("f", "df"))
     draws = sample_paths(jp, k, seed)
     h, dh = draws[:, 0], draws[:, 1]
-    y = spec.inverse(h)
-    slope = dh / spec.deriv(y)  # d/dt g^{-1}(h) by the inverse-function rule
+    slope = spec.inverse_deriv(h) * dh  # d/dt g^{-1}(h) by the chain rule
     return float(np.mean(slope > 0.0))
 
 

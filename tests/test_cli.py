@@ -150,6 +150,24 @@ class TestFitCommand:
         assert "A3" in payload["reason"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("setting", [("--chains", "1"), ("--chains", "0"), ("--iters", "150"),
+                                         ("--max-draws", "0"), ("--max-draws", "-5")],
+                             ids=lambda s: "".join(s))
+    def test_invalid_bayes_setting_exits_2_before_fitting(self, series_csv, tmp_path, capsys,
+                                                          monkeypatch, setting):
+        from trendgp import reporting
+
+        fits = []
+        monkeypatch.setattr(reporting, "fit_ml", lambda *a, **k: fits.append(a))
+        args = {"--chains": "2", "--iters": "600", "--max-draws": "150"} | dict([setting])
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE",
+                        "--estimator", "bayes", "--restarts", "4",
+                        *(v for kv in args.items() for v in kv)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "parse"
+        assert fits == []
+
     def test_m32_without_eti_succeeds(self, series_csv, tmp_path):
         code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "m32"), "--model", "0:M32",
                         "--restarts", "4", "--no-eti", "--grid", "30"])
@@ -327,6 +345,37 @@ class TestAutoSelection:
         sel = report["diagnostics"]["selection"]
         assert sel["winner"]["degree"] == 1
         assert len(sel["scores"]) == 2
+
+    def test_eti_selection_scores_only_families_that_admit_it(self, tmp_path):
+        # a random walk, where M32 wins the selection when it is scored
+        ts = np.linspace(0, 1, 14)
+        path = tmp_path / "walk.csv"
+        _write_series(path, ts, np.cumsum(np.random.default_rng(0).normal(0, 1, 14)))
+        out = tmp_path / "auto"
+        code, _ = _run(["fit", str(path), "--out", str(out), "--model", "auto", "--degrees", "0",
+                        "--families", "SE,M32", "--restarts", "4", "--grid", "30"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["model"]["kernel_family"] == "SE"
+        assert [s["family"] for s in report["diagnostics"]["selection"]["scores"]] == ["SE"]
+
+    def test_eti_selection_without_a_family_for_it_exits_4_before_fitting(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        from trendgp import reporting, selection
+
+        fits = []
+        for module in (reporting, selection):
+            monkeypatch.setattr(module, "fit_ml", lambda *a, **k: fits.append(a))
+        ts = np.linspace(0, 4, 8)
+        path = tmp_path / "d.csv"
+        _write_series(path, ts, np.sin(ts))
+        code, _ = _run(["fit", str(path), "--out", str(tmp_path / "x"), "--model", "auto",
+                        "--families", "M32"])
+        assert code == 4
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "assumption"
+        assert "A3" in payload["reason"]
+        assert fits == []
 
     def test_bad_family_in_grid_exits_2(self, tmp_path, capsys):
         ts = np.linspace(0, 4, 8)

@@ -1,6 +1,7 @@
 """Marginal likelihood, ML fitting, the sampler and posterior index summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from trendgp.estimation import (
     rhat,
 )
 from trendgp.indices import eti, local_eti, tdi
-from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
+from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval
 from trendgp.posterior import Dataset, Hyperparams, marginal_moments, prior_joint, sample_paths
 
 from conftest import random_instance
@@ -230,15 +231,40 @@ class TestFitBayes:
         with pytest.raises(ValueError, match="no prior"):
             fit_bayes(data, 0, "SE", priors=priors, opts=McmcOptions(chains=1, iters=200))
 
-    def test_target_is_zero_density_where_a4_underflows(self):
-        # log alpha = -400: alpha^2 underflows, so the prior Var[df] is 0
+    def test_target_is_out_of_reach_where_a4_underflows(self):
+        # log alpha = -400: alpha^2 underflows, so the prior Var[df] is 0.  The
+        # target does not check A4 per proposal; the log-alpha Jacobian alone
+        # puts such a point hundreds of nats below the mode.
         ts = np.linspace(0.0, 1.0, 8)
         data = Dataset(ts, np.sin(3.0 * ts))
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 0.3), 0.1)
         space = _ModelSpace(0, "SE")
         log_post = _log_posterior_fn(data, space, default_priors(theta), {}, list(space.names))
-        assert log_post(np.array([0.0, -400.0, math.log(0.3), math.log(0.1)])) == -math.inf
-        assert np.isfinite(log_post(np.array([0.0, 0.0, math.log(0.3), math.log(0.1)])))
+        at_mode = log_post(np.array([0.0, 0.0, math.log(0.3), math.log(0.1)]))
+        assert np.isfinite(at_mode)
+        far = log_post(np.array([0.0, -400.0, math.log(0.3), math.log(0.1)]))
+        assert np.isfinite(far) and far < at_mode - 350.0
+
+    def test_assumptions_checked_once_per_run(self, rng, monkeypatch):
+        import trendgp.kernels
+        import trendgp.parallel
+
+        calls = []
+        checked = trendgp.kernels.validate_assumptions
+        monkeypatch.setattr(trendgp.kernels, "validate_assumptions",
+                            lambda *a, **k: calls.append(1) or checked(*a, **k))
+        monkeypatch.setattr(trendgp.parallel, "_usable_cpus", lambda: 1)  # count in this process
+        data, truth = _simulated(rng, n=12)
+        priors = default_priors(truth)
+        counts = []
+        for iters, max_draws in ((200, 50), (400, 100)):
+            calls.clear()
+            samples = fit_bayes(data, 0, "SE", priors=priors,
+                                opts=McmcOptions(chains=2, iters=iters, seed=1))
+            index_posterior(data, samples, np.linspace(0, 1, 8), anchor=1.0,
+                            intervals=((0.0, 1.0),), n_quad=8, max_draws=max_draws)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_prior_recovery_under_flat_likelihood(self):
         # alpha pinned near zero and a huge fixed noise SD make the marginal
@@ -335,6 +361,37 @@ class TestIndexPosterior:
             want = np.array([getattr(mm, name) for mm in ref])
             assert np.array_equal(getattr(idx.level, name).view(np.int64), want.view(np.int64)), name
         assert idx.level.noise_var.tolist() == [theta.sigma**2 for theta in thetas]
+
+    @pytest.mark.parametrize("max_draws", [0, -5])
+    def test_max_draws_below_one_rejected(self, max_draws):
+        data = Dataset(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6) ** 2)
+        samples = _constant_samples({"beta0": 0.1, "alpha": 1.0, "rho": 0.4, "sigma": 0.1})
+        with pytest.raises(ValueError, match="max_draws"):
+            index_posterior(data, samples, np.linspace(0.0, 1.0, 5), anchor=1.0, max_draws=max_draws)
+
+    def test_without_eti_the_tdi_and_level_are_unchanged(self, rng):
+        data, _ = _simulated(rng, n=15)
+        samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=400, seed=5))
+        grid = np.linspace(0, 1, 12)
+        runs = [index_posterior(data, samples, grid, anchor=1.0, want_eti=want_eti,
+                                intervals=((0.2, 0.8),), n_quad=16, max_draws=30)
+                for want_eti in (True, False)]
+        assert runs[0].local_eti is not None and runs[0].eti_draws
+        assert runs[1].local_eti is None and runs[1].eti_draws == {}
+        assert np.array_equal(runs[0].tdi.values.view(np.int64), runs[1].tdi.values.view(np.int64))
+        for name in ("mu_f", "var_f", "mu_df", "var_df", "noise_var"):
+            a, b = getattr(runs[0].level, name), getattr(runs[1].level, name)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+    def test_eti_of_m32_draws_is_a3(self):
+        data = Dataset(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6) ** 2)
+        samples = replace(_constant_samples({"beta0": 0.1, "alpha": 1.0, "rho": 0.4, "sigma": 0.1}),
+                          family="M32")
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(AssumptionError, match="A3"):
+            index_posterior(data, samples, grid, anchor=1.0)
+        idx = index_posterior(data, samples, grid, anchor=1.0, want_eti=False)
+        assert idx.local_eti is None and idx.n_used == 4
 
     def test_quantiles_monotone(self, rng):
         data, _ = _simulated(rng, n=15)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from trendgp.indices import tdi
 from trendgp.kernels import KernelSpec, MeanSpec
@@ -38,12 +39,12 @@ class TestTransformSpec:
             tf = TransformSpec(kind)
             assert np.allclose(tf.inverse(tf.forward(ys)), ys, atol=1e-12)
 
-    def test_deriv_positive_on_domain(self, rng):
+    def test_inverse_deriv_positive_on_domain(self, rng):
         for kind in ("identity", "log", "logit", "arcsine_sqrt"):
             tf = TransformSpec(kind)
             lo, hi = tf.domain
             ys = rng.uniform(max(lo, -10) + 0.01, min(hi, 10) - 0.01, 30)
-            assert np.all(tf.deriv(ys) > 0)
+            assert np.all(tf.inverse_deriv(tf.forward(ys)) > 0)
 
     def test_logit_center(self):
         assert TransformSpec("logit").forward(0.5) == pytest.approx(0.0, abs=1e-15)
@@ -102,6 +103,21 @@ class TestTdiOriginalScale:
         mc = tdi_original_scale(data, tf, theta, t_q, method="mc", k=k, seed=12)
         se = max(math.sqrt(exact * (1 - exact) / k), 2.0 / k)
         assert abs(mc - exact) <= 3 * se
+
+    def test_mc_pathway_follows_the_arcsine_fold(self):
+        # Prior at t = 0: h ~ N(0.05, 0.1^2) and dh ~ N(1, 0.1^2), independent.
+        # d/dt sin^2 h = sin(2h) dh, so TDI = p_h p_d + (1 - p_h)(1 - p_d) with
+        # p_h = P(sin 2h > 0) and p_d = P(dh > 0); the latent TDI is p_d = 1.
+        empty = Dataset(np.empty(0), np.empty(0))
+        theta = Hyperparams(MeanSpec((0.05, 1.0)), KernelSpec("SE", 0.1, 1.0), 0.1)
+        p_h = sum(norm.cdf((k + 0.5) * math.pi, 0.05, 0.1) - norm.cdf(k * math.pi, 0.05, 0.1)
+                  for k in range(-3, 4))
+        p_d = norm.sf(0.0, 1.0, 0.1)
+        want = p_h * p_d + (1 - p_h) * (1 - p_d)
+        assert want == pytest.approx(0.6915, abs=1e-4)
+        k = 100_000
+        mc = tdi_original_scale(empty, TransformSpec("arcsine_sqrt"), theta, 0.0, method="mc", k=k, seed=4)
+        assert abs(mc - want) <= 3 * math.sqrt(want * (1 - want) / k)
 
     def test_unknown_method(self, rng):
         data = _proportion_data(rng)
