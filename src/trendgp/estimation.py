@@ -12,12 +12,13 @@ random-walk Metropolis chain targeting prior x marginal likelihood.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.blas import dsyr, dsyrk
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
@@ -199,6 +200,38 @@ class _ModelSpace:
 # marginal likelihood
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=16)
+def _gelsd_work(m: int, p: int) -> tuple[int, int]:
+    """Optimal gelsd workspace sizes (real, integer) for one right-hand side."""
+    work, iwork, info = dgelsd_lwork(m, p, 1)
+    if info != 0:
+        raise ValueError(f"gelsd workspace query failed with info {info}")
+    return int(work), int(iwork)
+
+
+def _gls(Xw: np.ndarray, yw: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of the whitened response on the whitened design.
+
+    LAPACK gelsd, called as np.linalg.lstsq(Xw, yw, rcond=None) calls it:
+    singular values cut off below eps * max(m, p) times the largest, optimal
+    workspace.  A non-finite design or a failed SVD raises ValueError, as
+    lstsq's LinAlgError does; a non-finite response gives non-finite
+    coefficients.
+    """
+    if not np.isfinite(Xw).all():
+        raise ValueError("whitened design is not finite")
+    m, p = Xw.shape
+    b = yw[:, None] if m >= p else np.concatenate([yw, np.zeros(p - m)])[:, None]
+    lwork, liwork = _gelsd_work(m, p)
+    x, _, _, info = dgelsd(Xw, b, lwork, liwork, cond=_EPS * max(m, p))
+    if info != 0:
+        raise ValueError(f"least squares SVD did not converge (info {info})")
+    return x[:p, 0]
+
+
 def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float):
     """Profile marginal log likelihood and its gradient: mean coefficients replaced by GLS.
 
@@ -211,10 +244,13 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     a dot product over them.  The caller checks the design for finiteness
     once per fit.
     """
-    L = _factor(data, kernel, sigma)
+    lags, index = data.lags
+    # one evaluation of k and k' serves the Gram and the gradient rows
+    k, dk_dlog = kernel_log_param_grads(kernel, lags)
+    L = _factor(data, kernel, sigma, k)
     Xw = _whiten(L, design)
     yw = _whiten(L, data.ys)
-    betas, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+    betas = _gls(Xw, yw)
     white = yw - Xw @ betas
     ll = _gauss_loglik(L, white)
     # a = L^-T white by trs; L^-T by trtri, then the upper triangle of
@@ -232,13 +268,12 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     gap = dsyr(-1.0, a, a=gap, overwrite_a=1)
     # gap is Fortran-ordered, so its memory-order ravel is the lower triangle
     # row by row; the lag index is symmetric, and the diagonal (lag 0) counts once.
-    lags, index = data.lags
-    trace = np.trace(gap)
+    trace = gap.trace()
     per_lag = 2.0 * np.bincount(index.ravel(), weights=gap.ravel(order="K"), minlength=lags.size)
     per_lag[0] -= trace
-    grad = -0.5 * (kernel_log_param_grads(kernel, lags) @ per_lag)
+    grad = -0.5 * (dk_dlog @ per_lag)
     # dK/d log sigma = 2 sigma^2 I
-    grad = np.append(grad, -sigma**2 * trace)
+    grad = np.concatenate((grad, [-sigma**2 * trace]))
     return ll, tuple(betas), grad
 
 
@@ -352,7 +387,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
                 ll, betas, grad = _profile_mll(data, design, kernel, values["sigma"])
         except (FactorizationError, ValueError, OverflowError):
             return None
-        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+        if not (np.isfinite(ll) and np.isfinite(grad).all()):
             return None
         return ll, betas, grad
 
@@ -692,7 +727,6 @@ def index_posterior(
     data: Dataset,
     samples: McmcSamples,
     grid,
-    anchor: float,
     want_eti: bool = True,
     intervals: tuple = (),
     n_quad: int = 256,

@@ -18,6 +18,7 @@ differentiable and exists here so that validation can name it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.rho > 0 and np.isfinite(self.rho)):
+        if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if self.family == "RQ":
-            if self.nu is None or not (self.nu > 0 and np.isfinite(self.nu)):
+            if self.nu is None or not (self.nu > 0 and math.isfinite(self.nu)):
                 raise ValueError(f"RQ requires a positive finite nu, got {self.nu}")
         elif self.nu is not None:
             raise ValueError(f"nu is only meaningful for the RQ family, got nu={self.nu} for {self.family}")
@@ -90,7 +91,7 @@ class MeanSpec:
         coefs = tuple(float(c) for c in self.coefficients)
         if not 1 <= len(coefs) <= 3:
             raise ValueError("mean polynomial must have 1 to 3 coefficients (degree <= 2)")
-        if not all(np.isfinite(coefs)):
+        if not all(math.isfinite(c) for c in coefs):
             raise ValueError("mean coefficients must be finite")
         object.__setattr__(self, "coefficients", coefs)
 
@@ -143,21 +144,25 @@ def _check_order(spec: KernelSpec, order_s: int, order_t: int) -> None:
         raise InadmissibleOrderError(f"no ({order_s}, {order_t}) mixed partial: {violation}")
 
 
-def _derivs_se(alpha: float, rho: float, u: np.ndarray, order: int) -> np.ndarray:
+def _derivs_se(alpha: float, rho: float, u: np.ndarray, orders) -> list:
     z = u / rho
     base = alpha * alpha * np.exp(-0.5 * z * z)
-    if order == 0:
-        return base
-    if order == 1:
-        return -z / rho * base
-    if order == 2:
-        return (z * z - 1.0) / rho**2 * base
-    if order == 3:
-        return z * (3.0 - z * z) / rho**3 * base
-    return (3.0 - z * z * (6.0 - z * z)) / rho**4 * base
+
+    def deriv(order: int) -> np.ndarray:
+        if order == 0:
+            return base
+        if order == 1:
+            return -z / rho * base
+        if order == 2:
+            return (z * z - 1.0) / rho**2 * base
+        if order == 3:
+            return z * (3.0 - z * z) / rho**3 * base
+        return (3.0 - z * z * (6.0 - z * z)) / rho**4 * base
+
+    return [deriv(o) for o in orders]
 
 
-def _derivs_rq(alpha: float, rho: float, nu: float, u: np.ndarray, order: int) -> np.ndarray:
+def _derivs_rq(alpha: float, rho: float, nu: float, u: np.ndarray, orders) -> list:
     # Powers of Q = 1 + u^2/(2 rho^2 nu) go through log1p so that large nu
     # degrades gracefully to the SE limit instead of losing precision.
     a2 = alpha * alpha
@@ -167,68 +172,84 @@ def _derivs_rq(alpha: float, rho: float, nu: float, u: np.ndarray, order: int) -
     def qpow(expo: float) -> np.ndarray:
         return np.exp(-expo * lq)
 
-    if order == 0:
-        return a2 * qpow(nu)
-    if order == 1:
-        return -a2 * u / rho**2 * qpow(nu + 1.0)
-    if order == 2:
-        return -a2 / rho**2 * (qpow(nu + 1.0) - (nu + 1.0) * u * u / (rho**2 * nu) * qpow(nu + 2.0))
-    a_c = a2 * (nu + 1.0) / (rho**4 * nu)
-    b_c = a2 * (nu + 1.0) * (nu + 2.0) / (rho**6 * nu * nu)
-    if order == 3:
-        return 3.0 * a_c * u * qpow(nu + 2.0) - b_c * u**3 * qpow(nu + 3.0)
-    return (
-        3.0 * a_c * qpow(nu + 2.0)
-        - 6.0 * b_c * u * u * qpow(nu + 3.0)
-        + b_c * (nu + 3.0) * u**4 / (rho**2 * nu) * qpow(nu + 4.0)
-    )
+    def deriv(order: int) -> np.ndarray:
+        if order == 0:
+            return a2 * qpow(nu)
+        if order == 1:
+            return -a2 * u / rho**2 * qpow(nu + 1.0)
+        if order == 2:
+            return -a2 / rho**2 * (qpow(nu + 1.0) - (nu + 1.0) * u * u / (rho**2 * nu) * qpow(nu + 2.0))
+        a_c = a2 * (nu + 1.0) / (rho**4 * nu)
+        b_c = a2 * (nu + 1.0) * (nu + 2.0) / (rho**6 * nu * nu)
+        if order == 3:
+            return 3.0 * a_c * u * qpow(nu + 2.0) - b_c * u**3 * qpow(nu + 3.0)
+        return (
+            3.0 * a_c * qpow(nu + 2.0)
+            - 6.0 * b_c * u * u * qpow(nu + 3.0)
+            + b_c * (nu + 3.0) * u**4 / (rho**2 * nu) * qpow(nu + 4.0)
+        )
+
+    return [deriv(o) for o in orders]
 
 
-def _derivs_m52(alpha: float, rho: float, u: np.ndarray, order: int) -> np.ndarray:
+def _derivs_m52(alpha: float, rho: float, u: np.ndarray, orders) -> list:
     # Even extension of k(x) = alpha^2 (1 + x + x^2/3) e^{-x}, x = sqrt(5)|u|/rho.
     # Odd-order derivatives pick up sign(u) and vanish at u = 0.
     c = np.sqrt(5.0) / rho
     x = c * np.abs(u)
     e = alpha * alpha * np.exp(-x) / 3.0
-    if order == 0:
-        return e * (3.0 + 3.0 * x + x * x)
-    sgn = np.sign(u)
-    if order == 1:
-        return -sgn * c * e * x * (1.0 + x)
-    if order == 2:
-        return -c * c * e * (1.0 + x - x * x)
-    if order == 3:
-        return sgn * c**3 * e * x * (3.0 - x)
-    return c**4 * e * (3.0 - 5.0 * x + x * x)
+
+    def deriv(order: int) -> np.ndarray:
+        if order == 0:
+            return e * (3.0 + 3.0 * x + x * x)
+        if order == 1:
+            return -np.sign(u) * c * e * x * (1.0 + x)
+        if order == 2:
+            return -c * c * e * (1.0 + x - x * x)
+        if order == 3:
+            return np.sign(u) * c**3 * e * x * (3.0 - x)
+        return c**4 * e * (3.0 - 5.0 * x + x * x)
+
+    return [deriv(o) for o in orders]
 
 
-def _derivs_m32(alpha: float, rho: float, u: np.ndarray, order: int) -> np.ndarray:
+def _derivs_m32(alpha: float, rho: float, u: np.ndarray, orders) -> list:
     # The (1,1) partial at the diagonal is the continuous extension
     # 3 alpha^2 / rho^2; higher orders are rejected before reaching here.
     c = np.sqrt(3.0) / rho
     x = c * np.abs(u)
     e = alpha * alpha * np.exp(-x)
-    if order == 0:
-        return e * (1.0 + x)
-    if order == 1:
-        return -np.sign(u) * c * e * x
-    return -c * c * e * (1.0 - x)
+
+    def deriv(order: int) -> np.ndarray:
+        if order == 0:
+            return e * (1.0 + x)
+        if order == 1:
+            return -np.sign(u) * c * e * x
+        return -c * c * e * (1.0 - x)
+
+    return [deriv(o) for o in orders]
 
 
-def _derivs_ou(alpha: float, rho: float, u: np.ndarray) -> np.ndarray:
-    return alpha * alpha * np.exp(-np.abs(u) / rho)
+def _derivs_ou(alpha: float, rho: float, u: np.ndarray, orders) -> list:
+    # order 0 only: OU has no derivative process
+    return [alpha * alpha * np.exp(-np.abs(u) / rho) for _ in orders]
+
+
+def _stationary_derivs(spec: KernelSpec, u: np.ndarray, orders) -> list:
+    """k^(order)(u) for each order, sharing the terms the orders have in common."""
+    if spec.family == "SE":
+        return _derivs_se(spec.alpha, spec.rho, u, orders)
+    if spec.family == "RQ":
+        return _derivs_rq(spec.alpha, spec.rho, spec.nu, u, orders)
+    if spec.family == "M52":
+        return _derivs_m52(spec.alpha, spec.rho, u, orders)
+    if spec.family == "M32":
+        return _derivs_m32(spec.alpha, spec.rho, u, orders)
+    return _derivs_ou(spec.alpha, spec.rho, u, orders)
 
 
 def _stationary_deriv(spec: KernelSpec, u: np.ndarray, order: int) -> np.ndarray:
-    if spec.family == "SE":
-        return _derivs_se(spec.alpha, spec.rho, u, order)
-    if spec.family == "RQ":
-        return _derivs_rq(spec.alpha, spec.rho, spec.nu, u, order)
-    if spec.family == "M52":
-        return _derivs_m52(spec.alpha, spec.rho, u, order)
-    if spec.family == "M32":
-        return _derivs_m32(spec.alpha, spec.rho, u, order)
-    return _derivs_ou(spec.alpha, spec.rho, u)
+    return _stationary_derivs(spec, u, (order,))[0]
 
 
 def kernel_eval(spec: KernelSpec, s, t):
@@ -272,8 +293,9 @@ def _q_over_1pq_minus_log1p(q: np.ndarray) -> np.ndarray:
     return np.where(q < 1e-3, series, q / (1.0 + q) - np.log1p(q))
 
 
-def kernel_log_param_grads(spec: KernelSpec, u) -> np.ndarray:
-    """Derivatives of k(u) with respect to log alpha, log rho and (RQ) log nu.
+def kernel_log_param_grads(spec: KernelSpec, u) -> tuple[np.ndarray, np.ndarray]:
+    """k(u), equal to kernel_eval(spec, u, 0.0), and its derivatives with
+    respect to log alpha, log rho and (RQ) log nu, from one evaluation of k and k'.
 
     One row per parameter, one column per lag: d k/d log alpha = 2 k; every
     family depends on u only through u/rho, so d k/d log rho = -u k'(u); and
@@ -282,12 +304,12 @@ def kernel_log_param_grads(spec: KernelSpec, u) -> np.ndarray:
     """
     _check_order(spec, 1, 0)
     u = np.asarray(u, dtype=float)
-    k = _stationary_deriv(spec, u, 0)
-    rows = [2.0 * k, -u * _stationary_deriv(spec, u, 1)]
+    k, dk = _stationary_derivs(spec, u, (0, 1))
+    rows = [2.0 * k, -u * dk]
     if spec.family == "RQ":
         q = u * u / (2.0 * spec.rho * spec.rho * spec.nu)
         rows.append(spec.nu * k * _q_over_1pq_minus_log1p(q))
-    return np.array(rows)
+    return k, np.array(rows)
 
 
 def validate_assumptions(spec: KernelSpec, require_eti: bool = False) -> AssumptionViolation | None:

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval, require_order
+from .kernels import KernelSpec, MeanSpec, kernel_eval, kernel_gram, mean_eval, require_order
 
 BLOCK_ORDER = ("f", "df", "d2f")
 _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
@@ -88,7 +88,7 @@ class Hyperparams:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
 
 
@@ -152,32 +152,38 @@ def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
 
 
 def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
-    if not np.all(np.isfinite(mat)):
-        raise FactorizationError("covariance matrix contains non-finite entries")
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(mat.shape[0])
-    for jit in _JITTERS:
-        try:
-            return np.linalg.cholesky(mat + jit * scale * eye)
-        except np.linalg.LinAlgError:
-            continue
+    """Lower Cholesky factor of the symmetric C-ordered mat, which the caller checks for finiteness.
+
+    LAPACK potrf factors the upper triangle of mat's Fortran view, which is
+    mat's own lower triangle, so the transpose of the upper factor it returns
+    is the C-ordered lower one, with no transposed copy either way.  mat
+    stays intact, so each jitter rung starts from it.
+    """
+    for jit in (0.0, *_JITTERS):
+        gram = mat if jit == 0.0 else mat + jit * scale * np.eye(mat.shape[0])
+        upper, info = dpotrf(gram.T, lower=0, overwrite_a=jit != 0.0)
+        if info == 0:
+            return upper.T
     raise FactorizationError(
         f"covariance factorization failed after jitter up to {_JITTERS[-1]:g} * scale"
     )
 
 
-def _factor(data: Dataset, kernel: KernelSpec, sigma: float) -> np.ndarray:
+def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factor of kernel_gram(kernel, ts, ts) + sigma^2 I.
 
-    The Gram is gathered from one kernel evaluation per distinct lag; it
-    equals the dense assembly bit for bit.
+    The Gram is gathered from k, the kernel on the distinct lags (evaluated
+    here unless the caller already holds it), and equals the dense assembly
+    bit for bit; its finiteness is checked on those lags, not on n^2 entries.
     """
     lags, index = data.lags
-    K = kernel_gram(kernel, lags, [0.0]).ravel()[index]
-    K.reshape(-1)[:: data.n + 1] += sigma**2
+    if k is None:
+        k = kernel_eval(kernel, lags, 0.0)
+    noise = sigma**2
+    if not (math.isfinite(noise) and np.isfinite(k).all()):
+        raise FactorizationError("covariance matrix contains non-finite entries")
+    K = k[index]
+    K.reshape(-1)[:: data.n + 1] += noise
     return _chol(K, kernel.alpha**2)
 
 
@@ -199,7 +205,7 @@ def _whiten(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _gauss_loglik(L: np.ndarray, white: np.ndarray) -> float:
     """log N(r; 0, L L^T) given the factor L and the whitened r, white = L^{-1} r."""
     n = L.shape[0]
-    return float(-0.5 * n * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * white @ white)
+    return float(-0.5 * n * _LOG_2PI - np.log(L.diagonal()).sum() - 0.5 * white @ white)
 
 
 class Posterior:

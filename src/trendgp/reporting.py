@@ -236,16 +236,16 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
 
     selection_info = None
     parsed = config.parsed_model()
+    opts = FitOptions(restarts=config.restarts, seed=config.seed)
     if parsed is None:
-        sel = select_model(
-            fit_data,
-            config.candidate_grid(),
-            scheme=config.selection_scheme,
-            opts=FitOptions(restarts=config.restarts, seed=config.seed),
-        )
+        sel = select_model(fit_data, config.candidate_grid(), scheme=config.selection_scheme, opts=opts)
         degree, family = sel.winner.degree, sel.winner.family
+        # the selection's full-data fit of the winner, as fit_ml would redo it
+        fit = sel.winner.fit
         if sel.winner.substituted_to_se:
+            # the model fitted is SE, which fit_ml reports without a substitution
             family = "SE"
+            fit = replace(fit, substituted_from=None)
         selection_info = {
             "scheme": sel.scheme,
             "winner": {"degree": sel.winner.degree, "family": sel.winner.family},
@@ -262,15 +262,12 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
         }
     else:
         degree, family = parsed
+        fit = fit_ml(fit_data, degree, family, opts)
 
-    if config.estimator == "ml":
-        fit_block, curves, eti_block, cp, diagnostics = _ml_outputs(
-            fit_data, config, tf, degree, family, grid, anchor, intervals
-        )
-    else:
-        fit_block, curves, eti_block, cp, diagnostics = _bayes_outputs(
-            fit_data, config, tf, degree, family, grid, anchor, intervals
-        )
+    outputs = _ml_outputs if config.estimator == "ml" else _bayes_outputs
+    fit_block, curves, eti_block, cp, diagnostics = outputs(
+        fit_data, config, tf, degree, family, fit, grid, anchor, intervals
+    )
     if selection_info is not None:
         diagnostics["selection"] = selection_info
 
@@ -306,8 +303,7 @@ def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> flo
     return None if cp is None else float(cp)
 
 
-def _ml_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
-    fit = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
+def _ml_outputs(fit_data, config, tf, degree, family, fit, grid, anchor, intervals):
     theta = fit.theta
     post = Posterior(fit_data, theta)
     mm, indices = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
@@ -363,8 +359,7 @@ def _theta_params(theta: Hyperparams) -> dict:
     return params
 
 
-def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals):
-    ml = fit_ml(fit_data, degree, family, FitOptions(restarts=config.restarts, seed=config.seed))
+def _bayes_outputs(fit_data, config, tf, degree, family, ml, grid, anchor, intervals):
     if ml.substituted_from == "RQ":
         family = "SE"
     priors = default_priors(ml.theta)
@@ -381,7 +376,6 @@ def _bayes_outputs(fit_data, config, tf, degree, family, grid, anchor, intervals
         fit_data,
         samples,
         grid,
-        anchor,
         want_eti=config.compute_eti,
         intervals=intervals,
         max_draws=config.max_draws,

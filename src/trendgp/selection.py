@@ -49,6 +49,7 @@ class CandidateScore:
     substituted_to_se: bool
     failed: bool
     error: str | None = None
+    fit: FitResult | None = None  # the full-data fit, unless the candidate failed
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,44 @@ class SelectionResult:
         return tuple(rows)
 
 
+def _loo_fold(data: Dataset, degree: int, family: str, fold_opts: FitOptions,
+              fixed_theta: Hyperparams | None, i: int):
+    """Squared error of predicting observation i from the others, or the
+    FitError or ValueError of that fold's refit, returned so that one pool
+    can carry the folds of every candidate."""
+    rest = Dataset(np.delete(data.ts, i), np.delete(data.ys, i))
+    try:
+        theta = fixed_theta if fixed_theta is not None else fit_ml(rest, degree, family, fold_opts).theta
+        pred = marginal_moments(rest, theta, [data.ts[i]]).mu_f[0]
+    except (FitError, ValueError) as exc:
+        return exc
+    return (data.ys[i] - pred) ** 2
+
+
+def _loo_scores(data: Dataset, jobs: list) -> list:
+    """Leave-one-out MSPE per (degree, family, fold_opts, fixed_theta) job, or
+    the error of its first failed fold.  Every (job, fold) pair goes
+    through one `fork_map`, so a selection forks one pool."""
+    n = data.n
+    errors = fork_map(_loo_fold, [(data, *job, i) for job in jobs for i in range(n)])
+    scores = []
+    for j in range(len(jobs)):
+        folds = errors[j * n : (j + 1) * n]
+        failed = next((e for e in folds if isinstance(e, Exception)), None)
+        scores.append(failed if failed is not None else float(np.array(folds).mean()))
+    return scores
+
+
+def _check_loo(data: Dataset) -> None:
+    if data.n < 4:
+        raise ValueError(f"leave-one-out scoring needs n >= 4 observations, got {data.n}")
+
+
+def _fold_opts(opts: FitOptions, full: FitResult) -> FitOptions:
+    """Fold refits warm-start from the full-data optimum with a quarter of the restarts."""
+    return replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
+
+
 def loo_mspe(
     data: Dataset,
     degree: int,
@@ -84,23 +123,19 @@ def loo_mspe(
     already holds `fit_ml(data, degree, family, opts)` passes it as
     `full_fit`.  With `fixed_theta` the refits are skipped and the given
     hyper-parameters are used in every fold (useful for hand checks).  The
-    folds run in forked workers (`fork_map`).
+    folds run in forked workers (`fork_map`); `select_model` scores each
+    candidate with the same folds, bit for bit.
     """
-    if data.n < 4:
-        raise ValueError(f"leave-one-out scoring needs n >= 4 observations, got {data.n}")
+    _check_loo(data)
     opts = opts or FitOptions()
     fold_opts = opts
     if fixed_theta is None:
         full = full_fit if full_fit is not None else fit_ml(data, degree, family, opts)
-        fold_opts = replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
-
-    def fold(i: int) -> float:
-        rest = Dataset(np.delete(data.ts, i), np.delete(data.ys, i))
-        theta = fixed_theta if fixed_theta is not None else fit_ml(rest, degree, family, fold_opts).theta
-        pred = marginal_moments(rest, theta, [data.ts[i]]).mu_f[0]
-        return (data.ys[i] - pred) ** 2
-
-    return float(np.array(fork_map(fold, [(i,) for i in range(data.n)])).mean())
+        fold_opts = _fold_opts(opts, full)
+    (score,) = _loo_scores(data, [(degree, family, fold_opts, fixed_theta)])
+    if isinstance(score, Exception):
+        raise score
+    return score
 
 
 def osa_mspe(
@@ -152,24 +187,30 @@ def select_model(
     if scheme not in ("loo", "osa"):
         raise ValueError(f"scheme must be 'loo' or 'osa', got {scheme!r}")
     opts = opts or FitOptions()
-    scores = []
+    # The full-data fits come first: each decides nu divergence and
+    # warm-starts its candidate's leave-one-out refits.
+    scores: list[CandidateScore] = []
+    loo_jobs = {}  # position in scores -> that candidate's fold job
     for degree, family in grid.candidates():
-        substituted = False
+        score = CandidateScore(degree, family, None, substituted_to_se=False, failed=False)
         try:
-            # A full-data fit decides nu divergence before the fold work.
             full = fit_ml(data, degree, family, opts)
-            substituted = full.substituted_from == "RQ"
-            eff_family = "SE" if substituted else family
+            score = replace(score, substituted_to_se=full.substituted_from == "RQ", fit=full)
+            # an RQ fit whose nu diverged already holds the SE refit
+            eff_family = "SE" if score.substituted_to_se else family
             if scheme == "loo":
-                # an RQ fit whose nu diverged already holds the SE refit
-                mspe = loo_mspe(data, degree, eff_family, opts, full_fit=full)
+                _check_loo(data)
+                loo_jobs[len(scores)] = (degree, eff_family, _fold_opts(opts, full), None)
             else:
-                mspe = osa_mspe(data, degree, eff_family, min_train, opts)
-            scores.append(CandidateScore(degree, family, mspe, substituted, failed=False))
+                score = replace(score, mspe=osa_mspe(data, degree, eff_family, min_train, opts))
         except (FitError, ValueError) as exc:
-            scores.append(
-                CandidateScore(degree, family, None, substituted, failed=True, error=str(exc))
-            )
+            score = replace(score, failed=True, error=str(exc), fit=None)
+        scores.append(score)
+    # then the folds of every candidate, in one pool
+    for k, mspe in zip(loo_jobs, _loo_scores(data, list(loo_jobs.values()))):
+        failed = isinstance(mspe, Exception)
+        scores[k] = (replace(scores[k], failed=True, error=str(mspe), fit=None) if failed
+                     else replace(scores[k], mspe=mspe))
     ok = [s for s in scores if not s.failed]
     if not ok:
         raise FitError("every candidate model failed to fit")

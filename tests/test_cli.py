@@ -346,6 +346,48 @@ class TestAutoSelection:
         assert sel["winner"]["degree"] == 1
         assert len(sel["scores"]) == 2
 
+    @pytest.mark.parametrize("case", ["se-winner", "rq-winner-refit-as-se", "bayes"])
+    def test_reused_winner_fit_equals_an_explicit_fit(self, tmp_path, case):
+        # The auto run reports the selection's own full-data fit of the winner;
+        # an explicit run of the model it ends up fitting refits it from scratch.
+        rng = np.random.default_rng(4)
+        if case == "rq-winner-refit-as-se":
+            # very smooth data: the RQ shape parameter diverges to the SE limit
+            from trendgp.kernels import KernelSpec, MeanSpec
+            from trendgp.posterior import Hyperparams, prior_joint, sample_paths
+
+            ts = np.linspace(0, 1, 30)
+            truth = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 0.45), 0.01)
+            ys = sample_paths(prior_joint(truth, ts, blocks=("f",)), 1, seed=14)[0] + rng.normal(0, 0.01, 30)
+            candidates, seed = ["--degrees", "0", "--families", "RQ"], "2"
+        else:
+            ts = np.linspace(0, 3, 11)
+            ys = np.sin(2.0 * ts) + rng.normal(0, 0.2, 11)
+            candidates, seed = ["--degrees", "0,1", "--families", "SE,M52"], "1"
+        path = tmp_path / "d.csv"
+        _write_series(path, ts, ys)
+        common = ["--seed", seed, "--restarts", "6", "--grid", "25", "--no-eti"]
+        if case == "bayes":
+            common += ["--estimator", "bayes", "--chains", "2", "--iters", "200", "--max-draws", "20"]
+        code, _ = _run(["fit", str(path), "--out", str(tmp_path / "auto"), "--model", "auto", *candidates,
+                        *common])
+        assert code == 0
+        report = json.loads((tmp_path / "auto" / "report.json").read_text())
+        model = report["model"]
+        if case == "rq-winner-refit-as-se":
+            assert report["diagnostics"]["selection"]["scores"][0]["substituted_to_se"]
+            assert model["kernel_family"] == "SE"
+        explicit = f"{model['mean_degree']}:{model['kernel_family']}"
+        code, _ = _run(["fit", str(path), "--out", str(tmp_path / "explicit"), "--model", explicit, *common])
+        assert code == 0
+        want = json.loads((tmp_path / "explicit" / "report.json").read_text())
+        assert report["fit"] == want["fit"]
+        assert report["curves"] == want["curves"]
+        if case != "bayes":
+            assert report["fit"]["substituted_from"] is None
+            for key in ("n_restarts", "n_failed_restarts"):
+                assert report["diagnostics"][key] == want["diagnostics"][key]
+
     def test_eti_selection_scores_only_families_that_admit_it(self, tmp_path):
         # a random walk, where M32 wins the selection when it is scored
         ts = np.linspace(0, 1, 14)

@@ -261,7 +261,7 @@ class TestFitBayes:
             calls.clear()
             samples = fit_bayes(data, 0, "SE", priors=priors,
                                 opts=McmcOptions(chains=2, iters=iters, seed=1))
-            index_posterior(data, samples, np.linspace(0, 1, 8), anchor=1.0,
+            index_posterior(data, samples, np.linspace(0, 1, 8),
                             intervals=((0.0, 1.0),), n_quad=8, max_draws=max_draws)
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -320,7 +320,7 @@ class TestIndexPosterior:
                            KernelSpec("SE", values["alpha"], values["rho"]), values["sigma"])
         grid = np.linspace(data.ts[0], data.ts[-1], 7)
         interval = (float(data.ts[0]), float(data.ts[-1]))
-        idx = index_posterior(data, samples, grid, anchor=float(data.ts[-1]),
+        idx = index_posterior(data, samples, grid,
                               intervals=(interval,), n_quad=64)
         assert idx.skipped_fraction == 0.0
         for tau in (0.025, 0.5, 0.975):
@@ -340,7 +340,7 @@ class TestIndexPosterior:
         with pytest.raises(ValueError):
             eti(data, samples.theta_at(0, 0), interval, n_quad=n_quad)
         with pytest.raises(ValueError):
-            index_posterior(data, samples, np.linspace(0.0, 1.0, 5), anchor=1.0,
+            index_posterior(data, samples, np.linspace(0.0, 1.0, 5),
                             intervals=(interval,), n_quad=n_quad)
 
     def test_level_moments_match_per_draw_reference(self, rng):
@@ -350,7 +350,7 @@ class TestIndexPosterior:
         data, _ = _simulated(rng, n=15)
         samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=400, seed=5))
         grid = np.linspace(0, 1, 12)
-        idx = index_posterior(data, samples, grid, anchor=1.0, intervals=((0.2, 0.8),),
+        idx = index_posterior(data, samples, grid, intervals=((0.2, 0.8),),
                               n_quad=16, max_draws=30)
         stride = math.ceil(samples.n_chains * samples.n_kept / 30)
         picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
@@ -367,13 +367,13 @@ class TestIndexPosterior:
         data = Dataset(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6) ** 2)
         samples = _constant_samples({"beta0": 0.1, "alpha": 1.0, "rho": 0.4, "sigma": 0.1})
         with pytest.raises(ValueError, match="max_draws"):
-            index_posterior(data, samples, np.linspace(0.0, 1.0, 5), anchor=1.0, max_draws=max_draws)
+            index_posterior(data, samples, np.linspace(0.0, 1.0, 5), max_draws=max_draws)
 
     def test_without_eti_the_tdi_and_level_are_unchanged(self, rng):
         data, _ = _simulated(rng, n=15)
         samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=400, seed=5))
         grid = np.linspace(0, 1, 12)
-        runs = [index_posterior(data, samples, grid, anchor=1.0, want_eti=want_eti,
+        runs = [index_posterior(data, samples, grid, want_eti=want_eti,
                                 intervals=((0.2, 0.8),), n_quad=16, max_draws=30)
                 for want_eti in (True, False)]
         assert runs[0].local_eti is not None and runs[0].eti_draws
@@ -389,15 +389,15 @@ class TestIndexPosterior:
                           family="M32")
         grid = np.linspace(0.0, 1.0, 5)
         with pytest.raises(AssumptionError, match="A3"):
-            index_posterior(data, samples, grid, anchor=1.0)
-        idx = index_posterior(data, samples, grid, anchor=1.0, want_eti=False)
+            index_posterior(data, samples, grid)
+        idx = index_posterior(data, samples, grid, want_eti=False)
         assert idx.local_eti is None and idx.n_used == 4
 
     def test_quantiles_monotone(self, rng):
         data, _ = _simulated(rng, n=15)
         samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=600, seed=3))
         grid = np.linspace(0, 1, 9)
-        idx = index_posterior(data, samples, grid, anchor=1.0, max_draws=150)
+        idx = index_posterior(data, samples, grid, max_draws=150)
         assert np.all(np.diff(idx.tdi.values, axis=0) >= -1e-12)
         assert np.all(np.diff(idx.local_eti.values, axis=0) >= -1e-12)
         assert idx.n_used <= 150

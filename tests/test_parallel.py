@@ -150,7 +150,7 @@ class TestPooledEqualsSerial:
             samples = fit_bayes(data, 0, "SE", priors=priors,
                                 opts=McmcOptions(chains=2, iters=400, seed=7))
             # 100 of the 400 kept draws: several blocks of the index pass
-            idx = index_posterior(data, samples, grid, 1.0, intervals=intervals, max_draws=100)
+            idx = index_posterior(data, samples, grid, intervals=intervals, max_draws=100)
             return samples, idx
 
         (s1, i1), (s2, i2) = _serial_and_pooled(monkeypatch, run)

@@ -1,9 +1,12 @@
 """Cross-validated model selection."""
 
+import os
+
 import numpy as np
 import pytest
 
-from trendgp.estimation import FitOptions
+from trendgp import selection
+from trendgp.estimation import FitError, FitOptions
 from trendgp.kernels import KernelSpec, MeanSpec
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.selection import CandidateGrid, loo_mspe, osa_mspe, select_model
@@ -158,3 +161,68 @@ class TestSelectModel:
         rows = result.table_rows()
         assert len(rows) == len(result.scores) - 1
         assert all(r.family != "RQ" for r in rows)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _wiggle(n=9, seed=5):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 3.0, n)
+    return Dataset(ts, np.sin(2.0 * ts) + rng.normal(0.0, 0.2, n))
+
+
+class TestOneFoldPool:
+    """Every candidate's leave-one-out folds go through one fork_map call."""
+
+    def test_one_fork_map_call_per_selection(self, monkeypatch):
+        calls = []
+        real = selection.fork_map
+
+        def counted(fn, items):
+            items = list(items)
+            calls.append(len(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(selection, "fork_map", counted)
+        data = _wiggle()
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        result = select_model(data, grid, opts=_fast_opts())
+        assert calls == [4 * data.n]
+        assert all(not s.failed for s in result.scores)
+
+    def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
+        # M52 refits fail in the folds that leave out observations 2 and 5;
+        # the candidate reports the first of them, and SE is unaffected
+        data = _wiggle()
+        real = selection.fit_ml
+
+        def fit_ml(d, degree, family, opts):
+            missing = [i for i, t in enumerate(data.ts) if t not in d.ts]
+            if family == "M52" and missing and missing[0] in (2, 5):
+                raise FitError(f"no M52 fit without observation {missing[0]}")
+            return real(d, degree, family, opts)
+
+        monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        grid = CandidateGrid(degrees=(0,), families=("SE", "M52"))
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            runs.append(select_model(data, grid, opts=_fast_opts(seed=3)))
+        serial, pooled = runs
+        assert pooled.scores == serial.scores
+        se, m52 = pooled.scores
+        assert np.asarray(se.mspe).tobytes() == np.asarray(serial.scores[0].mspe).tobytes()
+        assert not se.failed and se.fit is not None
+        assert m52.failed and m52.mspe is None and m52.fit is None
+        assert m52.error == "no M52 fit without observation 2"
+        assert pooled.winner.family == "SE"
+
+    def test_loo_mspe_equals_the_selection_score(self):
+        data = _wiggle()
+        opts = _fast_opts(seed=1)
+        result = select_model(data, CandidateGrid(degrees=(0,), families=("SE", "M52")), opts=opts)
+        for score in result.scores:
+            alone = loo_mspe(data, score.degree, score.family, opts)
+            assert np.asarray(alone).tobytes() == np.asarray(score.mspe).tobytes()

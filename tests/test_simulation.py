@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,10 +141,23 @@ class TestRunStudy:
         assert lines[1].split(",")[5] == "inclusive"
         assert lines[2].split(",")[5] == "exclusive"
 
-    def test_a4_failure_counts_as_failed(self):
-        # noise-free data: some fitted posteriors have no positive Var[df] on the grid
-        summary = run_study([Scenario(n=50, sigma=0.0, reps=6, seed=1, restarts=4)]).summaries[0]
+    def test_a4_failure_counts_as_failed(self, monkeypatch):
+        # A fit whose grid posterior has no positive Var[df] counts as failed.
+        # alpha = 1e-170 underflows alpha^2, so Var[df] is 0 on the whole grid;
+        # the fits with an odd restart seed keep their own theta.
+        real = simulation.fit_ml
+
+        def fit_ml(data, degree, family, opts):
+            fit = real(data, degree, family, opts)
+            if opts.seed % 2:
+                return fit
+            k = fit.theta.kernel
+            return replace(fit, theta=replace(fit.theta, kernel=replace(k, alpha=1e-170)))
+
+        monkeypatch.setattr(simulation, "fit_ml", fit_ml)
+        summary = run_study([Scenario(n=20, sigma=0.1, reps=6, seed=1, restarts=2)]).summaries[0]
         assert summary.failed >= 1
+        assert summary.reps_done >= 1
         assert summary.reps_done + summary.failed == 6
 
 
