@@ -57,7 +57,6 @@ from .estimation import (
     McmcOptions,
     McmcSamples,
     PriorSpec,
-    QuantileCurve,
     StudentTPrior,
     default_priors,
     fit_bayes,

@@ -294,7 +294,6 @@ def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
 class FitOptions:
     restarts: int = 16
     seed: int = 0
-    maxiter: int = 2000
     warm_theta: Hyperparams | None = None  # extra restart, e.g. full-data optimum
 
 
@@ -350,6 +349,7 @@ _LOG_ALPHA_FLOOR = math.log(1e-100)
 # exceeds this many nats per observation: a 1% move in any parameter then
 # changes the mean log density by less than 1e-6 nats.
 _CONVERGED_PGTOL = 1e-4
+_MAXITER = 2000  # L-BFGS-B iterations, and objective evaluations, per restart
 
 
 def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions | None = None) -> FitResult:
@@ -418,7 +418,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
             continue
         start_lls.append(-f0)
         minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
-                 options={"maxiter": opts.maxiter, "maxfun": opts.maxiter})
+                 options={"maxiter": _MAXITER, "maxfun": _MAXITER})
     if not best:
         raise FitError("all optimization restarts failed to produce a finite marginal likelihood")
 
@@ -447,13 +447,15 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
 # MCMC
 
 
+_TARGET_ACCEPT = 0.3  # the acceptance rate warmup adapts the proposal scale toward
+_INIT_STEP = 0.1  # spread of the initial points and first proposals, in unconstrained coordinates
+
+
 @dataclass(frozen=True)
 class McmcOptions:
     chains: int = 4
     iters: int = 25_000  # per chain, warmup included
     seed: int = 0
-    target_accept: float = 0.3
-    init_step: float = 0.1
     fixed: dict = field(default_factory=dict)
 
 
@@ -564,7 +566,7 @@ def fit_bayes(
         rng = np.random.default_rng(seed_seq)
         x = None
         for _ in range(50):
-            cand = x_center + opts.init_step * rng.standard_normal(d)
+            cand = x_center + _INIT_STEP * rng.standard_normal(d)
             if np.isfinite(log_post(cand)):
                 x = cand
                 break
@@ -572,9 +574,9 @@ def fit_bayes(
             raise McmcError("non-finite posterior density at initialization")
         lp = log_post(x)
 
-        log_scale = math.log(2.38 / math.sqrt(d) * opts.init_step * 10.0)
+        log_scale = math.log(2.38 / math.sqrt(d) * _INIT_STEP * 10.0)
         run_mean = x.copy()
-        run_cov = np.eye(d) * opts.init_step**2
+        run_cov = np.eye(d) * _INIT_STEP**2
         prop_chol = np.linalg.cholesky(run_cov)
         accepted_post = 0
         draws = np.empty((kept, d))
@@ -593,7 +595,7 @@ def fit_bayes(
                 # covariance (Haario-style); both freeze after warmup.
                 gamma = (it + 1) ** -0.6
                 acc_prob = min(1.0, math.exp(min(log_alpha, 0.0)))
-                log_scale += gamma * (acc_prob - opts.target_accept)
+                log_scale += gamma * (acc_prob - _TARGET_ACCEPT)
                 delta = x - run_mean
                 run_mean += gamma * delta
                 run_cov += gamma * (np.outer(delta, delta) - run_cov)
@@ -668,26 +670,6 @@ def rhat(samples: McmcSamples, param: str) -> float:
 
 
 @dataclass(frozen=True)
-class QuantileCurve:
-    """Per-grid-point posterior quantiles at the requested tau levels."""
-
-    grid: np.ndarray
-    taus: tuple[float, ...]
-    values: np.ndarray  # (len(taus), p)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.taus), np.asarray(self.grid).size):
-            raise ValueError("values must have shape (len(taus), len(grid))")
-        if np.any(np.diff(values, axis=0) < -1e-12):
-            raise ValueError("quantiles must be non-decreasing in tau")
-        object.__setattr__(self, "values", values)
-
-    def at(self, tau: float) -> np.ndarray:
-        return self.values[self.taus.index(tau)]
-
-
-@dataclass(frozen=True)
 class DrawMoments:
     """Grid moments of f and df, one row per draw whose factorization succeeded.
 
@@ -701,21 +683,19 @@ class DrawMoments:
     noise_var: np.ndarray  # (draws,)
 
 
-_TAUS = (0.025, 0.5, 0.975)
-
-
 @dataclass(frozen=True)
 class IndexPosterior:
-    tdi: QuantileCurve
-    local_eti: QuantileCurve | None
-    eti_draws: dict
+    """Each used draw's trend indices, one row per draw in thinned draw order."""
+
+    tdi: np.ndarray  # (n_used, p)
+    local_eti: np.ndarray | None  # (n_used, p); None without ETI
+    eti: np.ndarray  # (n_used, n_intervals); no columns without ETI
     skipped_fraction: float
-    n_used: int
     level: DrawMoments
 
-    def eti_quantiles(self, interval, taus=_TAUS) -> dict:
-        draws = self.eti_draws[tuple(float(v) for v in interval)]
-        return {tau: float(np.quantile(draws, tau)) for tau in taus}
+    @property
+    def n_used(self) -> int:
+        return self.tdi.shape[0]
 
 
 # Draws per work unit of the index pass: a block costs far more than the
@@ -732,14 +712,16 @@ def index_posterior(
     n_quad: int = 256,
     max_draws: int = 2000,
 ) -> IndexPosterior:
-    """Push MCMC draws through the trend indices and summarize by quantiles (2.5%, 50%, 97.5%).
+    """Push MCMC draws through the trend indices and return each draw's values.
 
     The one pass over the thinned draws: each draw is conditioned once and
     evaluated once on the grid and, with `want_eti`, the quadrature nodes
-    together; without it no curvature moments are computed.  Draws where
-    assumption A4 fails at some evaluation point are skipped and counted;
-    their grid moments stay in `level` if they factorized.  Raises AssumptionError (A3)
-    for `want_eti` without a curvature process, ValueError for max_draws < 1.
+    together; without it no curvature moments are computed and no interval
+    ETI is returned.  Draws where assumption A4 fails at some evaluation point
+    are skipped and counted; their grid moments stay in `level` if they
+    factorized.  The caller summarizes the per-draw rows, e.g. by quantiles
+    over axis 0.  Raises AssumptionError (A3) for `want_eti` without a
+    curvature process, ValueError for max_draws < 1.
     """
     require_order(samples.family, 2 if want_eti else 1)
     if max_draws < 1:
@@ -747,6 +729,8 @@ def index_posterior(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     p = grid.size
     intervals, n_quad = _checked_quadrature(intervals, n_quad)
+    if not want_eti:
+        intervals = ()  # nothing to integrate: each draw gives no interval ETI
 
     total = samples.n_chains * samples.n_kept
     stride = max(1, math.ceil(total / max_draws))
@@ -772,9 +756,9 @@ def index_posterior(
             except AssumptionError:
                 continue
             tdi_rows.append(tdi_vals)
+            eti_int_rows.append(etis)
             if want_eti:
                 eti_rows.append(rates)
-                eti_int_rows.append(etis)
         rows = (np.array(r, dtype=float).reshape(len(r), width)
                 for r, width in ((tdi_rows, p), (eti_rows, p), (eti_int_rows, len(intervals))))
         return DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))), *rows
@@ -785,23 +769,14 @@ def index_posterior(
                                    for lo in range(0, len(picks), _DRAW_BLOCK)])
     level = DrawMoments(*(np.concatenate([getattr(b[0], f.name) for b in blocks])
                           for f in fields(DrawMoments)))
-    tdi_arr, eti_arr, int_arr = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+    tdi, local_eti, eti = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
     del blocks
-    n_used = tdi_arr.shape[0]
-    if not n_used:
+    if not tdi.shape[0]:
         raise McmcError("every MCMC draw failed the pointwise assumption checks")
-
-    tdi_q = QuantileCurve(grid=grid, taus=_TAUS, values=np.quantile(tdi_arr, list(_TAUS), axis=0))
-    local_q = None
-    eti_draws: dict = {}
-    if want_eti:
-        local_q = QuantileCurve(grid=grid, taus=_TAUS, values=np.quantile(eti_arr, list(_TAUS), axis=0))
-        eti_draws = {iv: int_arr[:, j] for j, iv in enumerate(intervals)}
     return IndexPosterior(
-        tdi=tdi_q,
-        local_eti=local_q,
-        eti_draws=eti_draws,
-        skipped_fraction=(len(picks) - n_used) / len(picks),
-        n_used=n_used,
+        tdi=tdi,
+        local_eti=local_eti if want_eti else None,
+        eti=eti,
+        skipped_fraction=(len(picks) - tdi.shape[0]) / len(picks),
         level=level,
     )

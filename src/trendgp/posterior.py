@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernels import KernelSpec, MeanSpec, kernel_eval, kernel_gram, mean_eval, require_order
+from .kernels import KernelSpec, MeanSpec, _stationary_derivs, kernel_eval, kernel_gram, mean_eval, require_order
 
 BLOCK_ORDER = ("f", "df", "d2f")
 _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
@@ -237,13 +237,13 @@ class Posterior:
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("grid must be a non-empty finite time vector")
+        # C^(o,0)(grid, ts) = k^(o)(grid - ts) for every order, from one kernel pass
+        crosses = _stationary_derivs(self.theta.kernel, grid[:, None] - self.data.ts, orders)
+        if not all(np.isfinite(cross).all() for cross in crosses):
+            raise ValueError("array must not contain infs or NaNs")
         means, whitened = [], []
         for o in orders:
-            cross = kernel_gram(self.theta.kernel, grid, self.data.ts, o, 0)
-            if not np.all(np.isfinite(cross)):
-                raise ValueError("array must not contain infs or NaNs")
-            w = _whiten(self.chol, cross.T)
-            del cross  # freed before the next order's cross covariance is built
+            w = _whiten(self.chol, crosses.pop(0).T)  # each cross is freed once whitened
             m = np.broadcast_to(np.asarray(mean_eval(self.theta.mean, o, grid), dtype=float), grid.shape)
             means.append(m + w.T @ self.white_resid)
             whitened.append(w)
@@ -279,14 +279,17 @@ class Posterior:
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         # the f and df moments, then with need_d2f those of d2f and cov(df, d2f)
         mm = MarginalMoments(grid, *(np.empty(grid.size) for _ in range(7 if need_d2f else 4)))
+        # a variance is the prior covariance at zero lag, (-1)^ot k^(os+ot)(0),
+        # minus the diagonal of the data term
+        pairs = ((0, 0), (1, 1), (2, 2), (1, 2))[: 4 if need_d2f else 2]
+        k0 = _stationary_derivs(kernel, np.zeros(1), [os + ot for os, ot in pairs])
+        prior = {(os, ot): (-1.0 if ot % 2 else 1.0) * k[0] for (os, ot), k in zip(pairs, k0)}
         bounds = [0, *range(256, grid.size - 1, 256), grid.size]  # an empty grid fails in _conditioned
         for lo, hi in zip(bounds, bounds[1:]):
             _, means, whitened = self._conditioned(grid[lo:hi], range(max_needed + 1))
 
             def var(os: int, ot: int) -> np.ndarray:
-                # prior covariance at zero lag minus the diagonal of the data term
-                prior = kernel_gram(kernel, np.zeros(1), np.zeros(1), os, ot)[0, 0]
-                return prior - np.sum(whitened[os] * whitened[ot], axis=0)
+                return prior[os, ot] - np.sum(whitened[os] * whitened[ot], axis=0)
 
             mm.mu_f[lo:hi], mm.var_f[lo:hi] = means[0], var(0, 0)
             mm.mu_df[lo:hi], mm.var_df[lo:hi] = means[1], var(1, 1)

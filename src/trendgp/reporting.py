@@ -191,6 +191,15 @@ def _curve_dict(grid: np.ndarray, **cols) -> dict:
     return out
 
 
+# The posterior quantiles a Bayesian report carries, by column name.
+_QUANTILES = {"q2_5": 0.025, "q50": 0.5, "q97_5": 0.975}
+
+
+def _quantile_cols(draws) -> dict:
+    """Column name -> quantiles over the draws (axis 0) at that level, from one np.quantile call."""
+    return dict(zip(_QUANTILES, np.quantile(draws, list(_QUANTILES.values()), axis=0)))
+
+
 def _gauss_band(mu: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sd = np.sqrt(np.maximum(var, 0.0))
     return mu - _Z975 * sd, mu + _Z975 * sd
@@ -381,44 +390,29 @@ def _bayes_outputs(fit_data, config, tf, degree, family, ml, grid, anchor, inter
         max_draws=config.max_draws,
     )
 
-    level = _bayes_level_curves(idx.level, grid, tf, config)
     scale = "original" if config.transform == "identity" else "transformed"
-    taus = idx.tdi.taus
+    tdi_q = _quantile_cols(idx.tdi)
     curves = {
-        "f": level["f"],
-        "df": level["df"],
-        "predictive": level["predictive"],
-        "tdi": _curve_dict(
-            grid,
-            q2_5=idx.tdi.at(taus[0]),
-            q50=idx.tdi.at(taus[1]),
-            q97_5=idx.tdi.at(taus[2]),
-        )
-        | {"scale": scale},
+        "tdi": _curve_dict(grid, **tdi_q) | {"scale": scale},
+        "local_eti": None if idx.local_eti is None
+        else _curve_dict(grid, **_quantile_cols(idx.local_eti)) | {"scale": scale},
     }
-    curves["local_eti"] = None if idx.local_eti is None else _curve_dict(
-        grid,
-        q2_5=idx.local_eti.at(taus[0]),
-        q50=idx.local_eti.at(taus[1]),
-        q97_5=idx.local_eti.at(taus[2]),
-    ) | {"scale": scale}
-    eti_block = []
-    for iv in intervals:  # none without ETI
-        qs = idx.eti_quantiles(iv)
-        eti_block.append(
-            {"interval": [iv[0], iv[1]], "q2_5": qs[0.025], "q50": qs[0.5], "q97_5": qs[0.975]}
-        )
+    eti_q = _quantile_cols(idx.eti)  # one column per interval; none without ETI
+    eti_block = [{"interval": [a, b], **{name: float(q[j]) for name, q in eti_q.items()}}
+                 for j, (a, b) in enumerate(intervals)]
+    draw_counts = {"skipped_draw_fraction": idx.skipped_fraction, "n_draws_used": idx.n_used}
+    level = idx.level
+    # the per-draw indices are summarized: free them before the level curves draw
+    del idx
+    curves |= _bayes_level_curves(level, grid, tf, config)
 
-    median_curve = TdiCurve(grid=grid, values=idx.tdi.at(taus[1]), anchor=anchor)
+    median_curve = TdiCurve(grid=grid, values=tdi_q["q50"], anchor=anchor)
     cp = _crosspoint_value(median_curve, config, fit_data.span)
 
-    q_names = ("q2_5", "q50", "q97_5")
-    param_quantiles = {}
-    for name in samples.param_names:
-        vals = samples.flat(name)
-        param_quantiles[name] = {
-            q: float(np.quantile(vals, tau)) for q, tau in zip(q_names, (0.025, 0.5, 0.975))
-        }
+    param_quantiles = {
+        name: {q: float(v) for q, v in _quantile_cols(samples.flat(name)).items()}
+        for name in samples.param_names
+    }
     fit_block = {
         "ml_params": _theta_params(ml.theta),
         "param_quantiles": param_quantiles,
@@ -427,8 +421,7 @@ def _bayes_outputs(fit_data, config, tf, degree, family, ml, grid, anchor, inter
     diagnostics = {
         "rhat": {name: rhat(samples, name) for name in samples.param_names},
         "acceptance": [float(a) for a in samples.acceptance],
-        "skipped_draw_fraction": idx.skipped_fraction,
-        "n_draws_used": idx.n_used,
+        **draw_counts,
     }
     return fit_block, curves, eti_block, cp, diagnostics
 
@@ -448,30 +441,14 @@ def _bayes_level_curves(level: DrawMoments, grid, tf, config) -> dict:
     pred_arr *= np.sqrt(np.maximum(level.var_f, 0.0) + level.noise_var[:, None])
     pred_arr += level.mu_f
     scale = "original" if config.transform == "identity" else "transformed"
-
-    def q(arr, tau):
-        return np.quantile(arr, tau, axis=0)
-
     out = {
-        "df": _curve_dict(
-            grid, mean=np.mean(level.mu_df, axis=0), q2_5=q(df_arr, 0.025), q50=q(df_arr, 0.5), q97_5=q(df_arr, 0.975)
-        )
+        "df": _curve_dict(grid, mean=np.mean(level.mu_df, axis=0), **_quantile_cols(df_arr))
         | {"scale": scale},
-        "predictive": _curve_dict(
-            grid, q2_5=q(pred_arr, 0.025), q50=q(pred_arr, 0.5), q97_5=q(pred_arr, 0.975)
-        )
-        | {"scale": scale},
+        "predictive": _curve_dict(grid, **_quantile_cols(pred_arr)) | {"scale": scale},
     }
     if config.transform == "identity":
-        out["f"] = _curve_dict(
-            grid, mean=np.mean(level.mu_f, axis=0), q2_5=q(f_arr, 0.025), q50=q(f_arr, 0.5), q97_5=q(f_arr, 0.975)
-        ) | {"scale": "original"}
+        out["f"] = (_curve_dict(grid, mean=np.mean(level.mu_f, axis=0), **_quantile_cols(f_arr))
+                    | {"scale": "original"})
     else:
-        back = tf.inverse(f_arr)
-        out["f"] = _curve_dict(
-            grid, q2_5=q(back, 0.025), q50=q(back, 0.5), q97_5=q(back, 0.975)
-        ) | {"scale": "original"}
-        out["f_latent"] = _curve_dict(
-            grid, q2_5=q(f_arr, 0.025), q50=q(f_arr, 0.5), q97_5=q(f_arr, 0.975)
-        ) | {"scale": "transformed"}
+        out["f"] = _curve_dict(grid, **_quantile_cols(tf.inverse(f_arr))) | {"scale": "original"}
     return out

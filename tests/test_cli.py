@@ -217,6 +217,31 @@ class TestBayesAndTransformRuns:
                                    "report.schema.json")
         jsonschema.validate(report, json.loads(open(schema_path).read()))
 
+    @pytest.mark.parametrize("n_draws", [1, 2, 250, 1001])
+    def test_quantile_cols_equal_single_level_quantiles(self, n_draws):
+        # the report's bytes rest on one np.quantile call at all levels giving
+        # each level's own call bit for bit, over a matrix's columns and over
+        # one column alone
+        from trendgp import reporting
+
+        draws = np.random.default_rng(n_draws).standard_normal((n_draws, 7))
+        cols = reporting._quantile_cols(draws)
+        assert list(cols) == ["q2_5", "q50", "q97_5"]
+        for name, tau in (("q2_5", 0.025), ("q50", 0.5), ("q97_5", 0.975)):
+            assert cols[name].tobytes() == np.quantile(draws, tau, axis=0).tobytes()
+            for j in range(draws.shape[1]):
+                assert cols[name][j] == np.quantile(draws[:, j], tau)
+
+    def test_transformed_bayes_level_curves_carry_no_latent_curve(self):
+        from trendgp import reporting
+        from trendgp.estimation import DrawMoments
+
+        rng = np.random.default_rng(2)
+        level = DrawMoments(*(rng.uniform(0.1, 1.0, (5, 4)) for _ in range(4)), rng.uniform(0.1, 1.0, 5))
+        config = reporting.AnalysisConfig(estimator="bayes", transform="log")
+        curves = reporting._bayes_level_curves(level, np.linspace(0.0, 1.0, 4), TransformSpec("log"), config)
+        assert set(curves) == {"f", "df", "predictive"}
+
     def test_logit_transform_back_maps_level_curve(self, proportion_csv, tmp_path):
         out = tmp_path / "logit"
         code, _ = _run(["fit", proportion_csv, "--out", str(out), "--model", "0:SE",

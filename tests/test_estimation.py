@@ -25,9 +25,10 @@ from trendgp.estimation import (
     marginal_loglik,
     rhat,
 )
-from trendgp.indices import eti, local_eti, tdi
+from trendgp.indices import eti, evaluate_indices, local_eti, tdi
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, Hyperparams, marginal_moments, prior_joint, sample_paths
+from trendgp.posterior import Dataset, Hyperparams, Posterior, marginal_moments, prior_joint, sample_paths
+from trendgp.reporting import _quantile_cols
 
 from conftest import random_instance
 
@@ -322,15 +323,14 @@ class TestIndexPosterior:
         interval = (float(data.ts[0]), float(data.ts[-1]))
         idx = index_posterior(data, samples, grid,
                               intervals=(interval,), n_quad=64)
-        assert idx.skipped_fraction == 0.0
-        for tau in (0.025, 0.5, 0.975):
-            for i, t in enumerate(grid):
-                assert idx.tdi.at(tau)[i] == pytest.approx(tdi(data, plug, float(t)), rel=1e-9)
-                assert idx.local_eti.at(tau)[i] == pytest.approx(
-                    local_eti(data, plug, float(t))[0], rel=1e-9
-                )
+        assert idx.skipped_fraction == 0.0 and idx.n_used == 4
+        want_tdi = [tdi(data, plug, float(t)) for t in grid]
+        want_local = [local_eti(data, plug, float(t))[0] for t in grid]
         want_eti = eti(data, plug, interval, n_quad=64)
-        assert np.allclose(idx.eti_draws[interval], want_eti, rtol=1e-9)
+        for row_tdi, row_local, row_eti in zip(idx.tdi, idx.local_eti, idx.eti, strict=True):
+            assert row_tdi == pytest.approx(want_tdi, rel=1e-9)
+            assert row_local == pytest.approx(want_local, rel=1e-9)
+            assert row_eti == pytest.approx([want_eti], rel=1e-9)
 
     @pytest.mark.parametrize("interval, n_quad", [((0.8, 0.2), 256), ((0.2, 0.8), 0)],
                              ids=["reversed-interval", "no-panels"])
@@ -345,8 +345,9 @@ class TestIndexPosterior:
 
     def test_level_moments_match_per_draw_reference(self, rng):
         # the one pass over the draws returns the grid moments a separate
-        # per-draw marginal_moments call gives, bit for bit (grid of 4k points,
-        # see tests/test_posterior.py)
+        # per-draw marginal_moments call gives, and the indices a separate
+        # evaluate_indices call gives, bit for bit (grid of 4k points, see
+        # tests/test_posterior.py)
         data, _ = _simulated(rng, n=15)
         samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=400, seed=5))
         grid = np.linspace(0, 1, 12)
@@ -361,6 +362,12 @@ class TestIndexPosterior:
             want = np.array([getattr(mm, name) for mm in ref])
             assert np.array_equal(getattr(idx.level, name).view(np.int64), want.view(np.int64)), name
         assert idx.level.noise_var.tolist() == [theta.sigma**2 for theta in thetas]
+        assert idx.n_used == len(picks)
+        for k, theta in enumerate(thetas):
+            _, indices = evaluate_indices(Posterior(data, theta), grid, ((0.2, 0.8),), n_quad=16)
+            tdi_vals, rates, etis = indices()
+            for got, want in ((idx.tdi[k], tdi_vals), (idx.local_eti[k], rates), (idx.eti[k], etis)):
+                assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64)), k
 
     @pytest.mark.parametrize("max_draws", [0, -5])
     def test_max_draws_below_one_rejected(self, max_draws):
@@ -376,9 +383,10 @@ class TestIndexPosterior:
         runs = [index_posterior(data, samples, grid, want_eti=want_eti,
                                 intervals=((0.2, 0.8),), n_quad=16, max_draws=30)
                 for want_eti in (True, False)]
-        assert runs[0].local_eti is not None and runs[0].eti_draws
-        assert runs[1].local_eti is None and runs[1].eti_draws == {}
-        assert np.array_equal(runs[0].tdi.values.view(np.int64), runs[1].tdi.values.view(np.int64))
+        assert runs[0].local_eti.shape == runs[0].tdi.shape
+        assert runs[0].eti.shape == (runs[0].n_used, 1)
+        assert runs[1].local_eti is None and runs[1].eti.shape == (runs[1].n_used, 0)
+        assert np.array_equal(runs[0].tdi.view(np.int64), runs[1].tdi.view(np.int64))
         for name in ("mu_f", "var_f", "mu_df", "var_df", "noise_var"):
             a, b = getattr(runs[0].level, name), getattr(runs[1].level, name)
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
@@ -398,6 +406,8 @@ class TestIndexPosterior:
         samples = fit_bayes(data, 0, "SE", opts=McmcOptions(chains=2, iters=600, seed=3))
         grid = np.linspace(0, 1, 9)
         idx = index_posterior(data, samples, grid, max_draws=150)
-        assert np.all(np.diff(idx.tdi.values, axis=0) >= -1e-12)
-        assert np.all(np.diff(idx.local_eti.values, axis=0) >= -1e-12)
+        for draws in (idx.tdi, idx.local_eti):
+            quantiles = np.array(list(_quantile_cols(draws).values()))
+            assert np.all(np.diff(quantiles, axis=0) >= -1e-12)
+        assert np.all((idx.tdi >= 0.0) & (idx.tdi <= 1.0))
         assert idx.n_used <= 150
