@@ -148,9 +148,6 @@ class PriorSpec:
         except KeyError:
             raise ValueError(f"no prior given for parameter {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.priors)
-
 
 def default_priors(theta_ml: Hyperparams) -> PriorSpec:
     """Heavy-tailed priors centered at the ML estimates.
@@ -159,15 +156,12 @@ def default_priors(theta_ml: Hyperparams) -> PriorSpec:
     and sigma, Half-Normal(rho_hat, 1) on the length-scale.  The unit scale
     on rho is in the data's time units.
     """
-    priors = {}
-    for j, b in enumerate(theta_ml.mean.coefficients):
-        priors[f"beta{j}"] = StudentTPrior(b, 3.0, 3.0)
-    priors["alpha"] = HalfStudentTPrior(theta_ml.kernel.alpha, 3.0, 3.0)
-    priors["rho"] = HalfNormalPrior(theta_ml.kernel.rho, 1.0)
-    if theta_ml.kernel.family == "RQ":
-        priors["nu"] = HalfStudentTPrior(theta_ml.kernel.nu, 3.0, 3.0)
-    priors["sigma"] = HalfStudentTPrior(theta_ml.sigma, 3.0, 3.0)
-    return PriorSpec(priors)
+    space = _ModelSpace.of(theta_ml)
+    return PriorSpec({
+        name: StudentTPrior(v, 3.0, 3.0) if name in space.beta_names
+        else HalfNormalPrior(v, 1.0) if name == "rho" else HalfStudentTPrior(v, 3.0, 3.0)
+        for name, v in space.values(theta_ml).items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +169,9 @@ def default_priors(theta_ml: Hyperparams) -> PriorSpec:
 
 
 class _ModelSpace:
-    """Parameter bookkeeping for one (mean degree, kernel family) candidate."""
+    """Parameter layout of one (mean degree, kernel family) candidate: the mean
+    coefficients, then the positive kernel and noise parameters.  `theta`
+    builds the hyper-parameters from {name: value} and `values` inverts it."""
 
     def __init__(self, degree: int, family: str):
         if degree not in (0, 1, 2):
@@ -186,14 +182,25 @@ class _ModelSpace:
         self.family = family
         self.beta_names = tuple(f"beta{j}" for j in range(degree + 1))
         kernel_names = ("alpha", "rho", "nu") if family == "RQ" else ("alpha", "rho")
-        self.names = self.beta_names + kernel_names + ("sigma",)
-        self.positive = frozenset(("alpha", "rho", "nu", "sigma"))
+        self.positive = kernel_names + ("sigma",)
+        self.names = self.beta_names + self.positive
+
+    @classmethod
+    def of(cls, theta: Hyperparams) -> "_ModelSpace":
+        return cls(theta.mean.degree, theta.kernel.family)
+
+    def kernel(self, values: dict) -> KernelSpec:
+        return KernelSpec(self.family, values["alpha"], values["rho"], values.get("nu"))
 
     def theta(self, values: dict) -> Hyperparams:
         betas = tuple(values[n] for n in self.beta_names)
-        nu = values.get("nu")
-        kernel = KernelSpec(self.family, values["alpha"], values["rho"], nu)
-        return Hyperparams(MeanSpec(betas), kernel, values["sigma"])
+        return Hyperparams(MeanSpec(betas), self.kernel(values), values["sigma"])
+
+    def values(self, theta: Hyperparams) -> dict:
+        """{name: value} of theta, in the order of `names`."""
+        k = theta.kernel
+        positive = {"alpha": k.alpha, "rho": k.rho, "nu": k.nu, "sigma": theta.sigma}
+        return dict(zip(self.beta_names, theta.mean.coefficients)) | {n: positive[n] for n in self.positive}
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +377,10 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     if not np.all(np.isfinite(design)):
         raise FitError("the mean design matrix has non-finite entries")
 
-    kernel_dims = ["alpha", "rho"] + (["nu"] if family == "RQ" else []) + ["sigma"]
-    lower = np.array([_LOG_ALPHA_FLOOR if n == "alpha" else -np.inf for n in kernel_dims])
-    upper = np.array([np.inf if n == "nu" else _LOG_CAP for n in kernel_dims])
+    # the optimizer's coordinates: logs of the positive parameters
+    dims = space.positive
+    lower = np.array([_LOG_ALPHA_FLOOR if n == "alpha" else -np.inf for n in dims])
+    upper = np.array([np.inf if n == "nu" else _LOG_CAP for n in dims])
 
     def evaluate(z: np.ndarray):
         """(loglik, betas, grad) at log parameters z; None when it fails.
@@ -381,10 +389,9 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
         overflow; such a point is a failed evaluation, not a warning.
         """
         try:
-            values = {n: math.exp(v) for n, v in zip(kernel_dims, z)}
-            kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
+            values = {n: math.exp(v) for n, v in zip(dims, z)}
             with np.errstate(all="ignore"):
-                ll, betas, grad = _profile_mll(data, design, kernel, values["sigma"])
+                ll, betas, grad = _profile_mll(data, design, space.kernel(values), values["sigma"])
         except (FactorizationError, ValueError, OverflowError):
             return None
         if not (np.isfinite(ll) and np.isfinite(grad).all()):
@@ -411,7 +418,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     start_lls: list[float] = []
     n_failed = 0
     for start in _start_points(data, space, opts):
-        z0 = np.array([math.log(start[n]) for n in kernel_dims])
+        z0 = np.array([math.log(start[n]) for n in dims])
         f0 = math.inf if np.any(z0 > upper) else objective(z0)[0]
         if not np.isfinite(f0):
             n_failed += 1
@@ -427,9 +434,8 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     # reports success when a line search ends on a failed evaluation.
     held = ((z_best >= upper) & (grad > 0)) | ((z_best <= lower) & (grad < 0))
     converged = bool(np.max(np.abs(np.where(held, 0.0, grad))) <= _CONVERGED_PGTOL * data.n)
-    values = {n: math.exp(v) for n, v in zip(kernel_dims, z_best)}
-    kernel = KernelSpec(family, values["alpha"], values["rho"], values.get("nu"))
-    theta = Hyperparams(MeanSpec(betas), kernel, values["sigma"])
+    values = {n: math.exp(v) for n, v in zip(dims, z_best)}
+    theta = space.theta(dict(zip(space.beta_names, betas)) | values)
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:
         return replace(fit_ml(data, degree, "SE", opts), substituted_from="RQ")

@@ -1,9 +1,9 @@
 """Independent work units mapped over forked worker processes.
 
 `fork_map` serves the loops whose iterations share nothing: study
-replicates, LOO folds, MCMC chains and blocks of posterior draws.  Each
-unit owns its seed and its data, so the results do not depend on which
-process computes them or in what order.
+replicates, cross-validation folds, MCMC chains and blocks of posterior
+draws.  Each unit owns its seed and its data, so the results do not depend
+on which process computes them or in what order.
 
 The workers are forked, not spawned: they inherit the mapped function and
 its items from the parent's memory, so neither is pickled and a function

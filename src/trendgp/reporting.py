@@ -28,6 +28,7 @@ from .estimation import (
     McmcOptions,
     PriorSpec,
     StudentTPrior,
+    _ModelSpace,
     default_priors,
     fit_bayes,
     fit_ml,
@@ -118,6 +119,10 @@ class AnalysisConfig:
                 raise ConfigError(
                     f"anchor {self.anchor} lies outside the data span; pass --forecast to allow it"
                 )
+        if self.crosspoint_window is not None:  # crosspoint's bounds: the TDI grid spans the data
+            a, b = (float(v) for v in self.crosspoint_window)
+            if not lo - 1e-12 <= a <= b <= hi + 1e-12:
+                raise ConfigError(f"crosspoint window [{a}, {b}] must lie within the data span [{lo}, {hi}]")
         if parsed is None:
             self.candidate_grid()
         else:
@@ -248,13 +253,10 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
     opts = FitOptions(restarts=config.restarts, seed=config.seed)
     if parsed is None:
         sel = select_model(fit_data, config.candidate_grid(), scheme=config.selection_scheme, opts=opts)
-        degree, family = sel.winner.degree, sel.winner.family
-        # the selection's full-data fit of the winner, as fit_ml would redo it
-        fit = sel.winner.fit
-        if sel.winner.substituted_to_se:
-            # the model fitted is SE, which fit_ml reports without a substitution
-            family = "SE"
-            fit = replace(fit, substituted_from=None)
+        # the selection's full-data fit of the winner, as fit_ml of the family
+        # it fitted (SE for a diverged RQ) would redo it, with no substitution
+        fit = replace(sel.winner.fit, substituted_from=None)
+        degree, family = sel.winner.degree, fit.theta.kernel.family
         selection_info = {
             "scheme": sel.scheme,
             "winner": {"degree": sel.winner.degree, "family": sel.winner.family},
@@ -275,7 +277,7 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
 
     outputs = _ml_outputs if config.estimator == "ml" else _bayes_outputs
     fit_block, curves, eti_block, cp, diagnostics = outputs(
-        fit_data, config, tf, degree, family, fit, grid, anchor, intervals
+        fit_data, config, tf, fit, grid, anchor, intervals
     )
     if selection_info is not None:
         diagnostics["selection"] = selection_info
@@ -312,7 +314,7 @@ def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> flo
     return None if cp is None else float(cp)
 
 
-def _ml_outputs(fit_data, config, tf, degree, family, fit, grid, anchor, intervals):
+def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
     theta = fit.theta
     post = Posterior(fit_data, theta)
     mm, indices = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
@@ -359,25 +361,17 @@ def _ml_outputs(fit_data, config, tf, degree, family, fit, grid, anchor, interva
 
 
 def _theta_params(theta: Hyperparams) -> dict:
-    params = {f"beta{j}": float(b) for j, b in enumerate(theta.mean.coefficients)}
-    params["alpha"] = float(theta.kernel.alpha)
-    params["rho"] = float(theta.kernel.rho)
-    if theta.kernel.nu is not None:
-        params["nu"] = float(theta.kernel.nu)
-    params["sigma"] = float(theta.sigma)
-    return params
+    return {name: float(v) for name, v in _ModelSpace.of(theta).values(theta).items()}
 
 
-def _bayes_outputs(fit_data, config, tf, degree, family, ml, grid, anchor, intervals):
-    if ml.substituted_from == "RQ":
-        family = "SE"
+def _bayes_outputs(fit_data, config, tf, ml, grid, anchor, intervals):
     priors = default_priors(ml.theta)
     if config.prior_overrides:
         priors = priors_from_overrides(priors, config.prior_overrides)
     samples = fit_bayes(
         fit_data,
-        degree,
-        family,
+        ml.theta.mean.degree,
+        ml.theta.kernel.family,  # SE when an RQ fit was substituted
         priors=priors,
         opts=McmcOptions(chains=config.chains, iters=config.iters, seed=config.seed),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +34,17 @@ def paper_truth_kernel() -> KernelSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the study design."""
+    """One cell of the study design.
+
+    Every cell draws its truth from `paper_truth_kernel()` and refits a
+    constant mean with the SE kernel.
+    """
 
     n: int
     sigma: float
     reps: int
     seed: int = 0
-    kernel: KernelSpec = field(default_factory=paper_truth_kernel)
     grid_size: int = 201
-    fit_degree: int = 0
-    fit_family: str = "SE"
     restarts: int = 8
 
     def __post_init__(self):
@@ -114,11 +115,12 @@ def simulate_gp(theta: Hyperparams, grid, seed: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class _TruthLaw:
-    """What every replicate of a (kernel, grid_size, n) cell shares.
+    """What every replicate of a (grid_size, n) cell shares.
 
     The study grid, the observation times, the factored prior of (f, df) on
     their union (where the truth is drawn) and the indices of both in that
-    union.  Neither the seed nor the noise level enters it.
+    union.  The truth prior is `paper_truth_kernel()`; neither the seed nor
+    the noise level enters it.
     """
 
     grid: np.ndarray
@@ -128,11 +130,11 @@ class _TruthLaw:
     sampler: PathSampler
 
     @classmethod
-    def of(cls, kernel: KernelSpec, grid_size: int, n: int) -> "_TruthLaw":
+    def of(cls, grid_size: int, n: int) -> "_TruthLaw":
         grid = np.linspace(0.0, 1.0, grid_size)
         obs_ts = np.linspace(0.0, 1.0, n)
         all_ts = np.unique(np.concatenate([grid, obs_ts]))
-        truth_theta = Hyperparams(MeanSpec((0.0,)), kernel, 0.0)
+        truth_theta = Hyperparams(MeanSpec((0.0,)), paper_truth_kernel(), 0.0)
         return cls(grid, obs_ts, np.searchsorted(all_ts, grid),
                    np.searchsorted(all_ts, obs_ts), _fdf_sampler(truth_theta, all_ts))
 
@@ -177,14 +179,14 @@ def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:
     """Run one replicate; None when the fit fails outright or its posterior
     violates A4 on the grid.
 
-    `laws` memoizes the truth law by (kernel, grid_size, n): the first
+    `laws` memoizes the truth law by (grid_size, n): the first
     replicate of a cell in this process builds it, later ones reuse it.
     """
     sigma_key = int(round(scenario.sigma * 1e9))
     seed_seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(scenario.n, sigma_key, rep))
     rng = np.random.default_rng(seed_seq)
 
-    key = (scenario.kernel, scenario.grid_size, scenario.n)
+    key = (scenario.grid_size, scenario.n)
     if key not in laws:
         laws[key] = _TruthLaw.of(*key)
     law = laws[key]
@@ -195,12 +197,7 @@ def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:
     ys = f_all[law.obs_ix] + scenario.sigma * rng.standard_normal(scenario.n)
     data = Dataset(law.obs_ts, ys)
     try:
-        fit = fit_ml(
-            data,
-            scenario.fit_degree,
-            scenario.fit_family,
-            FitOptions(restarts=scenario.restarts, seed=int(rng.integers(2**63))),
-        )
+        fit = fit_ml(data, 0, "SE", FitOptions(restarts=scenario.restarts, seed=int(rng.integers(2**63))))
     except FitError:
         return None
 

@@ -444,6 +444,23 @@ class TestAutoSelection:
         assert "A3" in payload["reason"]
         assert fits == []
 
+    @pytest.mark.parametrize("scheme, reason", [
+        ("loo", "leave-one-out scoring needs n >= 4 observations, got 3"),
+        ("osa", "one-step-ahead scoring needs n > min_train, got n=3"),
+    ], ids=["loo", "osa"])
+    def test_series_too_short_for_the_scheme_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                                    scheme, reason):
+        from trendgp import selection
+
+        monkeypatch.setattr(selection, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+        path = tmp_path / "d.csv"
+        _write_series(path, [0.0, 1.0, 2.0], [0.1, 0.5, 0.2])
+        code, _ = _run(["fit", str(path), "--out", str(tmp_path / "x"), "--model", "auto",
+                        "--degrees", "0", "--families", "SE", "--selection-scheme", scheme])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["reason"] == reason
+
     def test_bad_family_in_grid_exits_2(self, tmp_path, capsys):
         ts = np.linspace(0, 4, 8)
         path = tmp_path / "d.csv"
@@ -462,6 +479,27 @@ class TestErrorExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "fit"
+
+    @pytest.mark.parametrize("window, forecast", [("0:5", []), ("0:5", ["--forecast"]),
+                                                  ("-1:2", []), ("-1e-9:2", [])],
+                             ids=["past-end", "past-end-forecast", "before-start", "just-before-start"])
+    def test_crosspoint_window_outside_the_data_exits_2_before_fitting(self, series_csv, tmp_path, capsys,
+                                                                       monkeypatch, window, forecast):
+        # the TDI grid spans the data even with --forecast, so the window must too
+        from trendgp import reporting
+
+        monkeypatch.setattr(reporting, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE",
+                        f"--crosspoint-window={window}", *forecast])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "crosspoint window" in payload["reason"]
+
+    def test_crosspoint_window_at_the_data_span_edges_is_accepted(self, series_csv, tmp_path, capsys):
+        # crosspoint allows 1e-12 beyond the grid ends; the series spans [0, 2]
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE",
+                        "--restarts", "2", "--grid", "20", "--no-eti", "--crosspoint-window=-1e-13:2"])
+        assert code == 0
 
     def test_network_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRENDGP_COVID_URL", "http://127.0.0.1:9/nothing.csv")

@@ -25,7 +25,7 @@ from trendgp.estimation import (
 from trendgp.kernels import KernelSpec, MeanSpec
 from trendgp.parallel import _openblas, fork_map
 from trendgp.posterior import Dataset, Hyperparams
-from trendgp.selection import loo_mspe
+from trendgp.selection import CandidateGrid, loo_mspe, select_model
 from trendgp.simulation import Scenario, run_study
 
 
@@ -134,6 +134,15 @@ class TestPooledEqualsSerial:
         serial, pooled = _serial_and_pooled(
             monkeypatch, lambda: loo_mspe(data, 0, "SE", FitOptions(restarts=4, seed=2)))
         assert _bits(pooled) == _bits(serial)
+
+    def test_select_model_osa(self, monkeypatch):
+        data = _series(9, 5)
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        serial, pooled = _serial_and_pooled(
+            monkeypatch, lambda: select_model(data, grid, scheme="osa", opts=FitOptions(restarts=4, seed=2)))
+        assert all(not s.failed for s in serial.scores)
+        assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
+        assert pooled.winner == serial.winner
 
     @pytest.fixture(scope="class")
     def bayes_case(self):

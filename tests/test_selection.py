@@ -174,9 +174,17 @@ def _wiggle(n=9, seed=5):
 
 
 class TestOneFoldPool:
-    """Every candidate's leave-one-out folds go through one fork_map call."""
+    """Every candidate's folds, under either scheme, go through one fork_map call."""
 
     def test_one_fork_map_call_per_selection(self, monkeypatch):
+        assert self._fork_map_calls(monkeypatch, "loo") == [4 * 9]
+
+    def test_one_fork_map_call_per_osa_selection(self, monkeypatch):
+        # one-step-ahead folds hold out rows 3 to n - 1
+        assert self._fork_map_calls(monkeypatch, "osa") == [4 * (9 - 3)]
+
+    @staticmethod
+    def _fork_map_calls(monkeypatch, scheme):
         calls = []
         real = selection.fork_map
 
@@ -188,9 +196,9 @@ class TestOneFoldPool:
         monkeypatch.setattr(selection, "fork_map", counted)
         data = _wiggle()
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
-        result = select_model(data, grid, opts=_fast_opts())
-        assert calls == [4 * data.n]
-        assert all(not s.failed for s in result.scores)
+        result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
+        assert data.n == 9 and all(not s.failed for s in result.scores)
+        return calls
 
     def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
         # M52 refits fail in the folds that leave out observations 2 and 5;
@@ -226,3 +234,25 @@ class TestOneFoldPool:
         for score in result.scores:
             alone = loo_mspe(data, score.degree, score.family, opts)
             assert np.asarray(alone).tobytes() == np.asarray(score.mspe).tobytes()
+
+    def test_osa_mspe_equals_the_selection_score(self):
+        data = _wiggle()
+        opts = _fast_opts(seed=1)
+        result = select_model(data, CandidateGrid(degrees=(0,), families=("SE", "M52")), scheme="osa",
+                              opts=opts)
+        for score in result.scores:
+            alone = osa_mspe(data, score.degree, score.family, opts=opts)
+            assert np.asarray(alone).tobytes() == np.asarray(score.mspe).tobytes()
+
+    @pytest.mark.parametrize("scheme, reason", [
+        ("loo", "leave-one-out scoring needs n >= 4 observations, got 3"),
+        ("osa", "one-step-ahead scoring needs n > min_train, got n=3"),
+    ], ids=["loo", "osa"])
+    def test_too_short_for_the_scheme_raises_before_any_fit(self, monkeypatch, scheme, reason):
+        def fit_ml(*args):
+            raise AssertionError("fit_ml called")
+
+        monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        data = Dataset(np.arange(3.0), np.array([0.1, 0.5, 0.2]))
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            select_model(data, CandidateGrid(degrees=(0,), families=("SE",)), scheme=scheme)

@@ -198,7 +198,7 @@ class TestTruthLaw:
         seed = int(np.random.default_rng(seed_seq).integers(2**63))
         grid = np.linspace(0.0, 1.0, 21)
         all_ts = np.unique(np.concatenate([grid, np.linspace(0.0, 1.0, 8)]))
-        f, df = simulate_gp(Hyperparams(MeanSpec((0.0,)), scenario.kernel, 0.0), all_ts, seed)
+        f, df = simulate_gp(Hyperparams(MeanSpec((0.0,)), paper_truth_kernel(), 0.0), all_ts, seed)
         ix = np.searchsorted(all_ts, grid)
         assert truths[0].tobytes() == f[ix].tobytes()
         assert truths[1].tobytes() == df[ix].tobytes()
