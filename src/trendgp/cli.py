@@ -163,8 +163,6 @@ def cmd_eti(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.sigma < 0:
-        _fail(EXIT_PARSE, "config", f"sigma must be non-negative, got {args.sigma}")
     scenario = Scenario(
         n=args.n,
         sigma=args.sigma,

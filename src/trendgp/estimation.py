@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dsyr, dsyrk
@@ -472,7 +472,6 @@ class McmcSamples:
     param_names: tuple[str, ...]
     draws: np.ndarray  # (chains, kept_iters, n_params), constrained scale
     warmup: int
-    seed: int
     acceptance: np.ndarray  # per-chain post-warmup acceptance rate
     degree: int
     family: str
@@ -635,7 +634,6 @@ def fit_bayes(
         param_names=tuple(sampled),
         draws=all_draws,
         warmup=warmup,
-        seed=opts.seed,
         acceptance=acceptance,
         degree=degree,
         family=family,
@@ -676,28 +674,22 @@ def rhat(samples: McmcSamples, param: str) -> float:
 
 
 @dataclass(frozen=True)
-class DrawMoments:
-    """Grid moments of f and df, one row per draw whose factorization succeeded.
+class IndexPosterior:
+    """Each used draw's grid moments and trend indices, one row per draw in thinned draw order.
 
-    Rows follow the thinned draw order; `noise_var` holds each draw's sigma**2.
+    Every row array holds the same draws: a draw that fails to factorize, or
+    fails A4 at some evaluation point, is in none of them.
     """
 
-    mu_f: np.ndarray  # (draws, p)
+    mu_f: np.ndarray  # (n_used, p)
     var_f: np.ndarray
     mu_df: np.ndarray
     var_df: np.ndarray
-    noise_var: np.ndarray  # (draws,)
-
-
-@dataclass(frozen=True)
-class IndexPosterior:
-    """Each used draw's trend indices, one row per draw in thinned draw order."""
-
+    noise_var: np.ndarray  # (n_used,); each draw's sigma**2
     tdi: np.ndarray  # (n_used, p)
     local_eti: np.ndarray | None  # (n_used, p); None without ETI
     eti: np.ndarray  # (n_used, n_intervals); no columns without ETI
     skipped_fraction: float
-    level: DrawMoments
 
     @property
     def n_used(self) -> int:
@@ -723,11 +715,11 @@ def index_posterior(
     The one pass over the thinned draws: each draw is conditioned once and
     evaluated once on the grid and, with `want_eti`, the quadrature nodes
     together; without it no curvature moments are computed and no interval
-    ETI is returned.  Draws where assumption A4 fails at some evaluation point
-    are skipped and counted; their grid moments stay in `level` if they
-    factorized.  The caller summarizes the per-draw rows, e.g. by quantiles
-    over axis 0.  Raises AssumptionError (A3) for `want_eti` without a
-    curvature process, ValueError for max_draws < 1.
+    ETI is returned.  One draw set feeds every row: a draw that fails to
+    factorize, or fails A4 at some evaluation point, is skipped and counted,
+    and leaves no grid moments either.  The caller summarizes the per-draw
+    rows, e.g. by quantiles over axis 0.  Raises AssumptionError (A3) for
+    `want_eti` without a curvature process, ValueError for max_draws < 1.
     """
     require_order(samples.family, 2 if want_eti else 1)
     if max_draws < 1:
@@ -741,48 +733,33 @@ def index_posterior(
     total = samples.n_chains * samples.n_kept
     stride = max(1, math.ceil(total / max_draws))
     picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
+    # The row fields of IndexPosterior and one draw's shape in each; no local ETI without ETI.
+    shapes = {"mu_f": (p,), "var_f": (p,), "mu_df": (p,), "var_df": (p,), "noise_var": (),
+              "tdi": (p,), "eti": (len(intervals),)} | ({"local_eti": (p,)} if want_eti else {})
 
-    def draw_block(lo: int, hi: int):
-        """The pass over picks[lo:hi]: level moments, then TDI and ETI rows."""
-        level = DrawMoments(*(np.empty((hi - lo, p)) for _ in range(4)), np.empty(hi - lo))
-        n_level = 0
-        tdi_rows, eti_rows, eti_int_rows = [], [], []
+    def draw_block(lo: int, hi: int) -> dict:
+        """The pass over picks[lo:hi]: each row field, stacked over the used draws."""
+        rows = []
         for c, i in picks[lo:hi]:
             theta = samples.theta_at(c, i)
             try:
-                mm, indices = evaluate_indices(Posterior(data, theta), grid, intervals, want_eti, n_quad)
-            except FactorizationError:
+                mm, tdi_vals, rates, etis = evaluate_indices(
+                    Posterior(data, theta), grid, intervals, want_eti, n_quad)
+            except (FactorizationError, AssumptionError):
                 continue
-            level.mu_f[n_level], level.var_f[n_level] = mm.mu_f, mm.var_f
-            level.mu_df[n_level], level.var_df[n_level] = mm.mu_df, mm.var_df
-            level.noise_var[n_level] = theta.sigma**2
-            n_level += 1
-            try:
-                tdi_vals, rates, etis = indices()
-            except AssumptionError:
-                continue
-            tdi_rows.append(tdi_vals)
-            eti_int_rows.append(etis)
-            if want_eti:
-                eti_rows.append(rates)
-        rows = (np.array(r, dtype=float).reshape(len(r), width)
-                for r, width in ((tdi_rows, p), (eti_rows, p), (eti_int_rows, len(intervals))))
-        return DrawMoments(*(getattr(level, f.name)[:n_level] for f in fields(DrawMoments))), *rows
+            rows.append(dict(mu_f=mm.mu_f, var_f=mm.var_f, mu_df=mm.mu_df, var_df=mm.var_df,
+                             noise_var=theta.sigma**2, tdi=tdi_vals, eti=etis, local_eti=rates))
+        return {name: np.array([r[name] for r in rows], dtype=float).reshape(len(rows), *shape)
+                for name, shape in shapes.items()}
 
     # Draws are independent, so contiguous blocks of them run in forked
     # workers and are reassembled in pick order.
     blocks = fork_map(draw_block, [(lo, min(lo + _DRAW_BLOCK, len(picks)))
                                    for lo in range(0, len(picks), _DRAW_BLOCK)])
-    level = DrawMoments(*(np.concatenate([getattr(b[0], f.name) for b in blocks])
-                          for f in fields(DrawMoments)))
-    tdi, local_eti, eti = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+    rows = {name: np.concatenate([b[name] for b in blocks]) for name in shapes}
     del blocks
-    if not tdi.shape[0]:
+    n_used = rows["tdi"].shape[0]
+    if not n_used:
         raise McmcError("every MCMC draw failed the pointwise assumption checks")
-    return IndexPosterior(
-        tdi=tdi,
-        local_eti=local_eti if want_eti else None,
-        eti=eti,
-        skipped_fraction=(len(picks) - tdi.shape[0]) / len(picks),
-        level=level,
-    )
+    rows.setdefault("local_eti", None)
+    return IndexPosterior(**rows, skipped_fraction=(len(picks) - n_used) / len(picks))

@@ -158,35 +158,32 @@ def _checked_quadrature(intervals, n_quad: int) -> tuple[tuple[tuple[float, floa
 def evaluate_indices(post: Posterior, grid, intervals=(), want_eti: bool = True, n_quad: int = 512):
     """Condition once on the grid and, when ETI is wanted, each interval's Simpson nodes.
 
-    Returns the grid moments and a function giving the TDI and local ETI
-    (None without ETI) on the grid and each interval's ETI.  Only the
-    function applies the pointwise A4 checks, so callers keep the moments of
-    a posterior whose indices are undefined.  Raises ValueError for b < a or
-    n_quad < 2, and AssumptionError (A3) for ETI of a kernel without it.
+    Returns the grid moments, the TDI and local ETI (None without ETI) on the
+    grid, and each interval's ETI (none without ETI).  Raises ValueError for
+    b < a or n_quad < 2, and AssumptionError for ETI of a kernel without A3
+    or where the pointwise A4 checks fail at an evaluation point.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     intervals, n_quad = _checked_quadrature(intervals, n_quad)
     nodes = [np.linspace(a, b, n_quad + 1) for a, b in intervals] if want_eti else []
     mm = post.marginal(np.concatenate([grid, *nodes]), want_eti)
     p = grid.size
-
-    def indices() -> tuple[np.ndarray, np.ndarray | None, tuple[float, ...]]:
-        tdi_vals = _gauss_upper(mm.mu_df[:p], mm.var_df[:p])
-        if not want_eti:
-            return tdi_vals, None, ()
-        rate, _, _, _ = _local_eti_from_moments(mm)
-        on_nodes = rate[p:].reshape(len(intervals), n_quad + 1)
-        etis = tuple(_simpson(r, (b - a) / n_quad) for r, (a, b) in zip(on_nodes, intervals))
-        return tdi_vals, rate[:p], etis
-
-    on_grid = {f.name: getattr(mm, f.name)[:p] for f in fields(mm) if getattr(mm, f.name) is not None}
-    return replace(mm, **on_grid), indices
+    # grid values are copies, so a caller that keeps them keeps no node buffer alive
+    on_grid = replace(mm, **{f.name: getattr(mm, f.name)[:p].copy() for f in fields(mm)
+                             if getattr(mm, f.name) is not None})
+    tdi_vals = _gauss_upper(on_grid.mu_df, on_grid.var_df)
+    if not want_eti:
+        return on_grid, tdi_vals, None, ()
+    rate = _local_eti_from_moments(mm)[0]
+    on_nodes = rate[p:].reshape(len(intervals), n_quad + 1)
+    etis = tuple(_simpson(r, (b - a) / n_quad) for r, (a, b) in zip(on_nodes, intervals))
+    return on_grid, tdi_vals, rate[:p].copy(), etis
 
 
 def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
     """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
-    _, indices = evaluate_indices(Posterior(data, theta), [], [interval], n_quad=n_quad)
-    return indices()[2][0]
+    _, _, _, (value,) = evaluate_indices(Posterior(data, theta), [], [interval], n_quad=n_quad)
+    return value
 
 
 def count_crossings(df_path, grid=None) -> CrossingProcess:

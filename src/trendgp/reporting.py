@@ -21,7 +21,6 @@ from . import __version__
 from .estimation import (
     RHAT_MIN_CHAINS,
     RHAT_MIN_KEPT,
-    DrawMoments,
     FitOptions,
     HalfNormalPrior,
     HalfStudentTPrior,
@@ -317,8 +316,7 @@ def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> flo
 def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
     theta = fit.theta
     post = Posterior(fit_data, theta)
-    mm, indices = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
-    tdi_vals, rates, etis = indices()
+    mm, tdi_vals, rates, etis = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
     tdi_c = TdiCurve(grid=grid, values=tdi_vals, anchor=anchor)
     f_lo, f_hi = _gauss_band(mm.mu_f, mm.var_f)
     df_lo, df_hi = _gauss_band(mm.mu_df, mm.var_df)
@@ -335,7 +333,8 @@ def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
     else:
         if tf.kind == "arcsine_sqrt":
             # sin^2 increases only on [0, pi/2], which the latent band can leave
-            qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed)
+            qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed,
+                                        taus=tuple(_QUANTILES.values()))
         else:
             # exp and expit increase on the whole line: they map quantiles of f exactly
             qs = (tf.inverse(f_lo), tf.inverse(mm.mu_f), tf.inverse(f_hi))
@@ -395,10 +394,10 @@ def _bayes_outputs(fit_data, config, tf, ml, grid, anchor, intervals):
     eti_block = [{"interval": [a, b], **{name: float(q[j]) for name, q in eti_q.items()}}
                  for j, (a, b) in enumerate(intervals)]
     draw_counts = {"skipped_draw_fraction": idx.skipped_fraction, "n_draws_used": idx.n_used}
-    level = idx.level
+    level = (idx.mu_f, idx.var_f, idx.mu_df, idx.var_df, idx.noise_var)
     # the per-draw indices are summarized: free them before the level curves draw
     del idx
-    curves |= _bayes_level_curves(level, grid, tf, config)
+    curves |= _bayes_level_curves(*level, grid, tf, config)
 
     median_curve = TdiCurve(grid=grid, values=tdi_q["q50"], anchor=anchor)
     cp = _crosspoint_value(median_curve, config, fit_data.span)
@@ -420,28 +419,29 @@ def _bayes_outputs(fit_data, config, tf, ml, grid, anchor, intervals):
     return fit_block, curves, eti_block, cp, diagnostics
 
 
-def _bayes_level_curves(level: DrawMoments, grid, tf, config) -> dict:
+def _bayes_level_curves(mu_f, var_f, mu_df, var_df, noise_var, grid, tf, config) -> dict:
     """Mixture curves for f, df and the predictive by sampling one realization
-    per retained draw; quantiles then reflect both parameter and path noise."""
+    per used draw, from its grid moments (`IndexPosterior` rows); quantiles
+    then reflect both parameter and path noise."""
 
     rng = np.random.default_rng(config.seed)
-    z = rng.standard_normal((level.mu_f.shape[0], 3, grid.size))
+    z = rng.standard_normal((mu_f.shape[0], 3, grid.size))
     # mu + sd * z, written over z so the draws need no second buffer
     f_arr, df_arr, pred_arr = z[:, 0], z[:, 1], z[:, 2]
-    f_arr *= np.sqrt(np.maximum(level.var_f, 0.0))
-    f_arr += level.mu_f
-    df_arr *= np.sqrt(np.maximum(level.var_df, 0.0))
-    df_arr += level.mu_df
-    pred_arr *= np.sqrt(np.maximum(level.var_f, 0.0) + level.noise_var[:, None])
-    pred_arr += level.mu_f
+    f_arr *= np.sqrt(np.maximum(var_f, 0.0))
+    f_arr += mu_f
+    df_arr *= np.sqrt(np.maximum(var_df, 0.0))
+    df_arr += mu_df
+    pred_arr *= np.sqrt(np.maximum(var_f, 0.0) + noise_var[:, None])
+    pred_arr += mu_f
     scale = "original" if config.transform == "identity" else "transformed"
     out = {
-        "df": _curve_dict(grid, mean=np.mean(level.mu_df, axis=0), **_quantile_cols(df_arr))
+        "df": _curve_dict(grid, mean=np.mean(mu_df, axis=0), **_quantile_cols(df_arr))
         | {"scale": scale},
         "predictive": _curve_dict(grid, **_quantile_cols(pred_arr)) | {"scale": scale},
     }
     if config.transform == "identity":
-        out["f"] = (_curve_dict(grid, mean=np.mean(level.mu_f, axis=0), **_quantile_cols(f_arr))
+        out["f"] = (_curve_dict(grid, mean=np.mean(mu_f, axis=0), **_quantile_cols(f_arr))
                     | {"scale": "original"})
     else:
         out["f"] = _curve_dict(grid, **_quantile_cols(tf.inverse(f_arr))) | {"scale": "original"}

@@ -202,9 +202,8 @@ def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:
         return None
 
     theta = fit.theta
-    mm, indices = evaluate_indices(Posterior(data, theta), grid, [(grid[0], grid[-1])])
     try:
-        tdi_vals, _, (eti_total,) = indices()
+        mm, tdi_vals, _, (eti_total,) = evaluate_indices(Posterior(data, theta), grid, [(grid[0], grid[-1])])
     except AssumptionError:  # A4 fails at the fitted theta, e.g. a noise-free fit
         return None
 
@@ -250,7 +249,7 @@ def run_study(scenarios) -> StudyResult:
     inclusive aggregate and leave the exclusive one, mirroring how weak
     identifiability shows up in practice.
 
-    The truth law of each (kernel, grid_size, n) is built once per process
+    The truth law of each (grid_size, n) is built once per process
     that runs its replicates, in a memo that lives for this call only: each
     forked worker fills its own copy, so the parent holds no factor, and a
     later call factors afresh under its own BLAS thread count.

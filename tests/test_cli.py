@@ -234,12 +234,11 @@ class TestBayesAndTransformRuns:
 
     def test_transformed_bayes_level_curves_carry_no_latent_curve(self):
         from trendgp import reporting
-        from trendgp.estimation import DrawMoments
 
         rng = np.random.default_rng(2)
-        level = DrawMoments(*(rng.uniform(0.1, 1.0, (5, 4)) for _ in range(4)), rng.uniform(0.1, 1.0, 5))
+        level = (*(rng.uniform(0.1, 1.0, (5, 4)) for _ in range(4)), rng.uniform(0.1, 1.0, 5))
         config = reporting.AnalysisConfig(estimator="bayes", transform="log")
-        curves = reporting._bayes_level_curves(level, np.linspace(0.0, 1.0, 4), TransformSpec("log"), config)
+        curves = reporting._bayes_level_curves(*level, np.linspace(0.0, 1.0, 4), TransformSpec("log"), config)
         assert set(curves) == {"f", "df", "predictive"}
 
     def test_logit_transform_back_maps_level_curve(self, proportion_csv, tmp_path):
@@ -523,6 +522,9 @@ class TestSimulateCommand:
     def test_negative_sigma_exits_2(self, capsys):
         code, _ = _run(["simulate", "--n", "25", "--sigma", "-0.1", "--reps", "1"])
         assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert "noise" in payload["reason"] and "-0.1" in payload["reason"]
 
 
 class TestFetchCovid:

@@ -179,7 +179,6 @@ class TestRhat:
             param_names=("x",),
             draws=draws[:, :, None],
             warmup=0,
-            seed=0,
             acceptance=np.full(draws.shape[0], 0.3),
             degree=0,
             family="SE",
@@ -303,7 +302,6 @@ def _constant_samples(values: dict) -> McmcSamples:
         param_names=names,
         draws=np.array([[[values[k] for k in names]] * 2] * 2),
         warmup=0,
-        seed=0,
         acceptance=np.array([0.3, 0.3]),
         degree=0,
         family="SE",
@@ -357,17 +355,29 @@ class TestIndexPosterior:
         picks = [(c, i) for c in range(samples.n_chains) for i in range(samples.n_kept)][::stride]
         thetas = [samples.theta_at(c, i) for c, i in picks]
         ref = [marginal_moments(data, theta, grid) for theta in thetas]
-        assert idx.level.mu_f.shape == (len(picks), grid.size)
+        assert idx.mu_f.shape == (len(picks), grid.size)
         for name in ("mu_f", "var_f", "mu_df", "var_df"):
             want = np.array([getattr(mm, name) for mm in ref])
-            assert np.array_equal(getattr(idx.level, name).view(np.int64), want.view(np.int64)), name
-        assert idx.level.noise_var.tolist() == [theta.sigma**2 for theta in thetas]
+            assert np.array_equal(getattr(idx, name).view(np.int64), want.view(np.int64)), name
+        assert idx.noise_var.tolist() == [theta.sigma**2 for theta in thetas]
         assert idx.n_used == len(picks)
         for k, theta in enumerate(thetas):
-            _, indices = evaluate_indices(Posterior(data, theta), grid, ((0.2, 0.8),), n_quad=16)
-            tdi_vals, rates, etis = indices()
+            _, tdi_vals, rates, etis = evaluate_indices(Posterior(data, theta), grid, ((0.2, 0.8),), n_quad=16)
             for got, want in ((idx.tdi[k], tdi_vals), (idx.local_eti[k], rates), (idx.eti[k], etis)):
                 assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64)), k
+
+    def test_a_draw_failing_a4_leaves_every_row(self):
+        # alpha = 1e-170 factorizes (sigma carries the covariance), but Var[df]
+        # underflows to 0, so A4 fails: the draw is in no row, level or index
+        data = Dataset(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6) ** 2)
+        samples = _constant_samples({"beta0": 0.1, "alpha": 1.0, "rho": 0.4, "sigma": 0.1})
+        draws = samples.draws.copy()
+        draws[1, 1, samples.param_names.index("alpha")] = 1e-170
+        samples = replace(samples, draws=draws)
+        idx = index_posterior(data, samples, np.linspace(0.0, 1.0, 5), intervals=((0.2, 0.8),), n_quad=16)
+        assert idx.skipped_fraction == 0.25 and idx.n_used == 3
+        for name in ("mu_f", "var_f", "mu_df", "var_df", "noise_var", "tdi", "local_eti", "eti"):
+            assert getattr(idx, name).shape[0] == 3, name
 
     @pytest.mark.parametrize("max_draws", [0, -5])
     def test_max_draws_below_one_rejected(self, max_draws):
@@ -388,7 +398,7 @@ class TestIndexPosterior:
         assert runs[1].local_eti is None and runs[1].eti.shape == (runs[1].n_used, 0)
         assert np.array_equal(runs[0].tdi.view(np.int64), runs[1].tdi.view(np.int64))
         for name in ("mu_f", "var_f", "mu_df", "var_df", "noise_var"):
-            a, b = getattr(runs[0].level, name), getattr(runs[1].level, name)
+            a, b = getattr(runs[0], name), getattr(runs[1], name)
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
     def test_eti_of_m32_draws_is_a3(self):

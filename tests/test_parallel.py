@@ -168,7 +168,7 @@ class TestPooledEqualsSerial:
         for name in ("tdi", "local_eti", "eti"):
             assert _bits(getattr(i2, name)) == _bits(getattr(i1, name)), name
         for name in ("mu_f", "var_f", "mu_df", "var_df", "noise_var"):
-            assert _bits(getattr(i2.level, name)) == _bits(getattr(i1.level, name))
+            assert _bits(getattr(i2, name)) == _bits(getattr(i1, name))
         assert (i2.n_used, i2.skipped_fraction) == (i1.n_used, i1.skipped_fraction)
 
     @pytest.mark.parametrize("cpus", [1, 2])
