@@ -262,9 +262,11 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     ll = _gauss_loglik(L, white)
     # a = L^-T white by trs; L^-T by trtri, then the upper triangle of
     # K^-1 - a a^T by syrk and a rank-one syr update.  Unlike potri (its
-    # lauum step) or trmv, these give the same bits under any BLAS thread
-    # count.  numpy's matmul for the same product took ~100x longer at
-    # n = 90 with two unpinned BLAS threads, in the optimizer's loop.
+    # lauum step) or trmv, these, and the potrf behind L, gave the same bits
+    # with one and two OpenBLAS threads up to n = 90, the range
+    # test_ml_fit_is_blas_thread_invariant covers; from n = 128 on, all of
+    # them differed.  numpy's matmul for the same product took ~100x longer
+    # at n = 90 with two unpinned BLAS threads, in the optimizer's loop.
     a, _ = dtrtrs(L.T, white, lower=0)
     inv_lt, info = dtrtri(L.T, lower=0)
     if info != 0:

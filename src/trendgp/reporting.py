@@ -266,6 +266,7 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
                     "mspe": s.mspe,
                     "substituted_to_se": s.substituted_to_se,
                     "failed": s.failed,
+                    "screened": s.screened,
                 }
                 for s in sel.scores
             ],

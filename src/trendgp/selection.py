@@ -3,8 +3,11 @@
 Leave-one-out scoring refits the marginal-likelihood optimum without each
 observation and predicts it back; one-step-ahead scoring walks forward
 through time.  Both are lists of (training rows, held-out row) folds
-scored by one engine.  The winner minimizes the mean squared error of
-prediction, with deterministic tie-breaking toward simpler models.
+scored by one engine.  At fixed hyper-parameters the fold errors of either
+scheme follow in closed form from one Cholesky factor, so a selection
+scores every candidate that way first and refits the folds only of the
+candidates that can still win.  The winner minimizes the refit mean squared
+error of prediction, with deterministic tie-breaking toward simpler models.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .estimation import FitError, FitOptions, FitResult, _ModelSpace, fit_ml
 from .parallel import fork_map
-from .posterior import Dataset, Hyperparams, marginal_moments
+from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, marginal_moments
 
 # Tie-break order from fewest to most kernel parameters, then by smoothness.
 _FAMILY_RANK = {"SE": 0, "M52": 1, "M32": 2, "RQ": 3}
@@ -50,6 +54,9 @@ class CandidateScore:
     failed: bool
     error: str | None = None
     fit: FitResult | None = None  # the full-data fit, unless the candidate failed
+    # mspe is the closed-form score at the full-data optimum: the folds were
+    # not refit, because that score already exceeded the leader's refit score
+    screened: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,13 @@ def _folds(n: int, scheme: str, min_train: int = 3) -> list[tuple[np.ndarray, in
 
 
 def _fold_error(data: Dataset, degree: int, family: str, fold_opts: FitOptions,
-                fixed_theta: Hyperparams | None, train: np.ndarray, i: int):
-    """Squared error of predicting row i from the training rows, or the
-    FitError or ValueError of that fold's refit, returned so that one pool
-    can carry the folds of every candidate."""
+                train: np.ndarray, i: int):
+    """Squared error of predicting row i from the ML refit on the training
+    rows, or the FitError or ValueError of that refit, returned so that one
+    pool can carry the folds of several candidates."""
     head = Dataset(data.ts[train], data.ys[train])
     try:
-        theta = fixed_theta if fixed_theta is not None else fit_ml(head, degree, family, fold_opts).theta
+        theta = fit_ml(head, degree, family, fold_opts).theta
         pred = marginal_moments(head, theta, [data.ts[i]]).mu_f[0]
     except (FitError, ValueError) as exc:
         return exc
@@ -104,9 +111,9 @@ def _fold_error(data: Dataset, degree: int, family: str, fold_opts: FitOptions,
 
 
 def _cv_scores(data: Dataset, folds: list, jobs: list) -> list:
-    """Mean squared fold error per (degree, family, fold_opts, fixed_theta)
-    job, or the error of its first failed fold.  Every (job, fold) pair goes
-    through one `fork_map`, so a selection forks one pool."""
+    """Mean squared refit fold error per (degree, family, fold_opts) job, or
+    the error of its first failed fold.  Every (job, fold) pair goes through
+    one `fork_map`."""
     m = len(folds)
     errors = fork_map(_fold_error, [(data, *job, train, i) for job in jobs for train, i in folds])
     scores = []
@@ -117,20 +124,44 @@ def _cv_scores(data: Dataset, folds: list, jobs: list) -> list:
     return scores
 
 
+def _fixed_theta_mspe(data: Dataset, theta: Hyperparams, scheme: str, folds: list) -> float:
+    """Mean squared fold error with theta held fixed in every fold, from one factor.
+
+    With L L^T = K = C(ts, ts) + sigma^2 I and r = y - m(ts):
+    - leave-one-out (GPML eq. 5.12): e_i = [K^-1 r]_i / [K^-1]_ii;
+    - one-step-ahead (the prediction-error decomposition): the leading k x k
+      block of L factors the first k rows, so e_k = L_kk (L^-1 r)_k.
+    Each equals the fold's kriging residual up to rounding, not bit for bit.
+    Raises what `Posterior` raises when K cannot be factored or r is not finite.
+    """
+    post = Posterior(data, theta)
+    L, white = post.chol, post.white_resid
+    held = np.array([i for _, i in folds])
+    if scheme == "osa":
+        errors = L.diagonal()[held] * white[held]
+    else:
+        # K^-1 r = L^-T white; [K^-1]_ii is the squared norm of row i of L^-T
+        a, _ = dtrtrs(L.T, white, lower=0)
+        inv_lt, info = dtrtri(L.T, lower=0)
+        if info != 0:
+            raise FactorizationError(f"triangular inverse failed at diagonal {info - 1}")
+        errors = a[held] / np.einsum("ij,ij->i", inv_lt, inv_lt)[held]
+    return float(np.mean(errors**2))
+
+
 def _fold_opts(opts: FitOptions, full: FitResult) -> FitOptions:
     """Fold refits warm-start from the full-data optimum with a quarter of the restarts."""
     return replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
 
 
-def _mspe(data: Dataset, folds: list, degree: int, family: str, opts: FitOptions | None,
+def _mspe(data: Dataset, scheme: str, folds: list, degree: int, family: str, opts: FitOptions | None,
           fixed_theta: Hyperparams | None) -> float:
     """One candidate's mean squared error over the given folds; raises its first fold error."""
+    if fixed_theta is not None:
+        return _fixed_theta_mspe(data, fixed_theta, scheme, folds)
     opts = opts or FitOptions()
-    job = (degree, family, opts, fixed_theta)
-    if fixed_theta is None:
-        full = fit_ml(data, degree, family, opts)
-        job = (degree, full.theta.kernel.family, _fold_opts(opts, full), None)
-    (score,) = _cv_scores(data, folds, [job])
+    full = fit_ml(data, degree, family, opts)
+    (score,) = _cv_scores(data, folds, [(degree, full.theta.kernel.family, _fold_opts(opts, full))])
     if isinstance(score, Exception):
         raise score
     return score
@@ -146,13 +177,15 @@ def loo_mspe(
     """Leave-one-out mean squared error of prediction.
 
     Each fold refits the ML optimum without observation i, warm-started from
-    the full-data fit, and predicts the latent mean at t_i.  With
-    `fixed_theta` the refits are skipped and the given hyper-parameters are
-    used in every fold (useful for hand checks).  The folds run in forked
-    workers (`fork_map`); `select_model` scores each candidate with the same
-    folds, bit for bit.
+    the full-data fit, and predicts the latent mean at t_i.  The folds run
+    in forked workers (`fork_map`), and a candidate that `select_model`
+    refits gets this score bit for bit.  With `fixed_theta` the given
+    hyper-parameters hold in every fold, and the score follows in closed
+    form from one factor (GPML eq. 5.12), with no fit and no pool; a
+    candidate that `select_model` screens out gets that score at its
+    full-data optimum, bit for bit.
     """
-    return _mspe(data, _folds(data.n, "loo"), degree, family, opts, fixed_theta)
+    return _mspe(data, "loo", _folds(data.n, "loo"), degree, family, opts, fixed_theta)
 
 
 def osa_mspe(
@@ -169,11 +202,14 @@ def osa_mspe(
     and predicts point k+1, yielding exactly n - min_train residuals.  Each
     fold's refit sees only its first k points but, as a leave-one-out fold
     does, warm-starts from the full-data fit, with a quarter of the
-    restarts; `fixed_theta` skips the refits.  The folds run in forked
-    workers, and with the default min_train `select_model` scores each
-    candidate with the same folds, bit for bit.
+    restarts.  The folds run in forked workers.  With `fixed_theta` the
+    given hyper-parameters hold in every fold, and the residuals follow in
+    closed form from one factor (the prediction-error decomposition), with
+    no fit and no pool.  With the default min_train, `select_model` gives a
+    refit candidate the first score and a screened one the second, at its
+    full-data optimum, bit for bit.
     """
-    return _mspe(data, _folds(data.n, "osa", min_train), degree, family, opts, fixed_theta)
+    return _mspe(data, "osa", _folds(data.n, "osa", min_train), degree, family, opts, fixed_theta)
 
 
 def select_model(
@@ -182,7 +218,18 @@ def select_model(
     scheme: str = "loo",
     opts: FitOptions | None = None,
 ) -> SelectionResult:
-    """Score every candidate and pick the MSPE minimizer.
+    """Score every candidate and pick the one with the lowest refit MSPE.
+
+    Each candidate is fit on the full data and scored in closed form with
+    that optimum held fixed in every fold.  The leader, the lowest such
+    score, has its folds refit in one `fork_map`.  Every other candidate
+    whose closed-form score is at most the leader's refit score is refit in
+    a second `fork_map`, which runs only if there is one.  The full-data
+    optimum has seen each held-out point, so a closed-form score is
+    optimistic: a candidate whose score already exceeds the leader's refit
+    score is not expected to win.  It keeps its closed-form score and is
+    marked `screened`.  If a fold of the leader fails, every other
+    candidate is refit.
 
     Ties break toward fewer parameters, then toward the simpler family.
     RQ candidates whose nu diverged are scored as their SE refit and marked.
@@ -191,31 +238,44 @@ def select_model(
     """
     folds = _folds(data.n, scheme)
     opts = opts or FitOptions()
-    # The full-data fits come first: each decides nu divergence and
-    # warm-starts its candidate's fold refits.
+    # The full-data fits come first: each decides nu divergence, gives the
+    # candidate's closed-form score and warm-starts its fold refits.
     scores: list[CandidateScore] = []
-    jobs = {}  # position in scores -> that candidate's fold job
+    jobs = {}  # position in scores -> that candidate's fold-refit job
     for degree, family in grid.candidates():
         score = CandidateScore(degree, family, None, substituted_to_se=False, failed=False)
         try:
             full = fit_ml(data, degree, family, opts)
-            score = replace(score, substituted_to_se=full.substituted_from == "RQ", fit=full)
+            mspe = _fixed_theta_mspe(data, full.theta, scheme, folds)
+            score = replace(score, mspe=mspe, substituted_to_se=full.substituted_from == "RQ", fit=full)
             # an RQ fit whose nu diverged holds the SE refit, whose family the folds refit
-            jobs[len(scores)] = (degree, full.theta.kernel.family, _fold_opts(opts, full), None)
-        except (FitError, ValueError) as exc:
+            jobs[len(scores)] = (degree, full.theta.kernel.family, _fold_opts(opts, full))
+        except (FitError, FactorizationError, ValueError) as exc:
             score = replace(score, failed=True, error=str(exc))
         scores.append(score)
-    # then the folds of every candidate, in one pool
-    for k, mspe in zip(jobs, _cv_scores(data, folds, list(jobs.values()))):
-        failed = isinstance(mspe, Exception)
-        scores[k] = (replace(scores[k], failed=True, error=str(mspe), fit=None) if failed
-                     else replace(scores[k], mspe=mspe))
-    ok = [s for s in scores if not s.failed]
-    if not ok:
-        raise FitError("every candidate model failed to fit")
 
     def sort_key(s: CandidateScore):
         return (s.mspe, len(_ModelSpace(s.degree, s.family).names), _FAMILY_RANK[s.family], s.degree)
 
-    winner = min(ok, key=sort_key)
+    def refit(ks: list) -> None:
+        for k, mspe in zip(ks, _cv_scores(data, folds, [jobs[k] for k in ks])):
+            failed = isinstance(mspe, Exception)
+            scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None) if failed
+                         else replace(scores[k], mspe=mspe))
+
+    rest = sorted(jobs, key=lambda k: sort_key(scores[k]))
+    if rest:
+        leader = rest.pop(0)
+        refit([leader])
+        if not scores[leader].failed:
+            for k in rest:
+                if scores[k].mspe > scores[leader].mspe:
+                    scores[k] = replace(scores[k], screened=True)
+            rest = [k for k in rest if not scores[k].screened]
+        if rest:
+            refit(rest)
+    refitted = [s for s in scores if not (s.failed or s.screened)]
+    if not refitted:
+        raise FitError("every candidate model failed to fit")
+    winner = min(refitted, key=sort_key)
     return SelectionResult(scheme=scheme, scores=tuple(scores), winner=winner)

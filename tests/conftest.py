@@ -6,12 +6,15 @@ conditioning oracle builds the full dense joint normal and conditions by a
 generic solve, independent of the production Cholesky path.
 """
 
+import csv
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from trendgp.dataio import iso_to_fractional_year
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
 from trendgp.posterior import Dataset, Hyperparams
 
@@ -128,6 +131,15 @@ def random_instance(rng, n=None, families=("SE", "RQ", "M52"), sigma_range=(0.05
     ) @ rng.standard_normal(n)
     ys = f + sigma * rng.standard_normal(n)
     return Dataset(ts, ys), theta
+
+
+def covid_log_series() -> Dataset:
+    """Log daily new cases of the pinned COVID fixture on its calendar-year axis (n = 90)."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "dpc-covid19-ita-andamento-nazionale.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ts = np.array([iso_to_fractional_year(r["data"]) for r in rows])
+    return Dataset(ts, np.log([float(r["nuovi_positivi"]) for r in rows]))
 
 
 def count_sign_flips(paths: np.ndarray) -> np.ndarray:

@@ -1,7 +1,5 @@
 """Joint posterior moments against the dense conditioning oracle."""
 
-import csv
-import os
 import tracemalloc
 
 import mpmath as mp
@@ -9,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trendgp.dataio import iso_to_fractional_year
 from trendgp.indices import tdi_curve
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
 from trendgp.posterior import (
@@ -23,9 +20,7 @@ from trendgp.posterior import (
     sample_paths,
 )
 
-from conftest import kernel_mp, random_instance, schur_oracle
-
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "dpc-covid19-ita-andamento-nazionale.csv")
+from conftest import covid_log_series, kernel_mp, random_instance, schur_oracle
 
 
 def _theta(family="SE", alpha=1.0, rho=1.0, nu=None, sigma=0.2, betas=(0.0,)):
@@ -360,19 +355,12 @@ class TestTimeShift:
         assert np.allclose(tdi_b, tdi_a, rtol=0.0, atol=tol)
 
 
-def _covid_log_series():
-    with open(FIXTURE, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    ts = np.array([iso_to_fractional_year(r["data"]) for r in rows])
-    return Dataset(ts, np.log([float(r["nuovi_positivi"]) for r in rows]))
-
-
 def test_calendar_time_low_noise_df_matches_mpmath_oracle():
     # The log COVID series on its calendar-year axis (t = 2020 + day/366,
     # n = 90) under the parameters an SE fit finds there: sigma = 5e-4 gives
     # the observation covariance a condition number of about 9e7, and the
     # times are ~2020 while their differences are ~1e-3.
-    data = _covid_log_series()
+    data = covid_log_series()
     ts, n = data.ts, data.n
     alpha, rho, sigma, b0 = 0.87, 0.033, 5e-4, 6.5
     theta = Hyperparams(MeanSpec((b0,)), KernelSpec("SE", alpha, rho), sigma)

@@ -7,9 +7,11 @@ import pytest
 
 from trendgp import selection
 from trendgp.estimation import FitError, FitOptions
-from trendgp.kernels import KernelSpec, MeanSpec
+from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.selection import CandidateGrid, loo_mspe, osa_mspe, select_model
+
+from conftest import covid_log_series
 
 
 def _fast_opts(seed=0):
@@ -116,6 +118,50 @@ class TestOsaMspe:
             osa_mspe(data, 0, "SE", min_train=2)
 
 
+class TestFixedThetaClosedForm:
+    """`fixed_theta` scores come in closed form from one factor of K.
+
+    The oracle solves each fold's kriging system on its own.  Both sides
+    round differently, so they agree to a stated tolerance, not bit for bit:
+    1e-8 relative, at a condition number of about 9e7, where the two agree
+    to about 2e-10.
+    """
+
+    @pytest.mark.parametrize("scheme, min_train", [("loo", None), ("osa", 3), ("osa", 7)],
+                             ids=["loo", "osa-3", "osa-7"])
+    def test_matches_per_fold_kriging_at_low_noise(self, scheme, min_train):
+        # the log COVID series on its calendar-year axis, under the SE
+        # parameters a fit finds there (sigma = 5e-4)
+        data = covid_log_series()
+        n, b0 = data.n, 6.5
+        theta = Hyperparams(MeanSpec((b0,)), KernelSpec("SE", 0.87, 0.033), 5e-4)
+        K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(n)
+        assert np.linalg.cond(K) > 5e7
+        if scheme == "loo":
+            folds = [(np.delete(np.arange(n), i), i) for i in range(n)]
+            got = loo_mspe(data, 0, "SE", fixed_theta=theta)
+        else:
+            folds = [(np.arange(k), k) for k in range(min_train, n)]
+            got = osa_mspe(data, 0, "SE", min_train=min_train, fixed_theta=theta)
+        errs = []
+        for train, i in folds:
+            resid = data.ys[train] - b0
+            pred = b0 + K[i, train] @ np.linalg.solve(K[np.ix_(train, train)], resid)
+            errs.append((data.ys[i] - pred) ** 2)
+        assert got == pytest.approx(float(np.mean(errs)), rel=1e-8)
+
+    def test_no_fit_and_no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fit_ml or fork_map called")
+
+        monkeypatch.setattr(selection, "fit_ml", refuse)
+        monkeypatch.setattr(selection, "fork_map", refuse)
+        data = _wiggle()
+        theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 1.0), 0.3)
+        assert loo_mspe(data, 0, "SE", fixed_theta=theta) > 0
+        assert osa_mspe(data, 0, "SE", min_train=4, fixed_theta=theta) > 0
+
+
 class TestSelectModel:
     def test_single_candidate_wins(self, rng):
         ts = np.sort(rng.uniform(0, 4, 8))
@@ -173,18 +219,34 @@ def _wiggle(n=9, seed=5):
     return Dataset(ts, np.sin(2.0 * ts) + rng.normal(0.0, 0.2, n))
 
 
+def _ramp(n=9, seed=1):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 3.0, n)
+    return Dataset(ts, 2.0 * ts + 0.3 * np.sin(2.0 * ts) + rng.normal(0.0, 0.1, n))
+
+
 class TestOneFoldPool:
-    """Every candidate's folds, under either scheme, go through one fork_map call."""
+    """Each stage of a selection sends its folds through one fork_map call:
+    the leader's folds, then the survivors' folds only when there are any."""
 
-    def test_one_fork_map_call_per_selection(self, monkeypatch):
-        assert self._fork_map_calls(monkeypatch, "loo") == [4 * 9]
+    def test_fork_map_calls_per_loo_selection(self, monkeypatch):
+        # 1:SE leads, 0:SE survives the screen, both M52 candidates are screened out
+        calls, result = self._fork_map_calls(monkeypatch, "loo", degrees=(0, 1))
+        assert calls == [9, 9]
+        assert [s.screened for s in result.scores] == [False, True, False, True]
+        # with no survivor the leader's folds are the only pool
+        calls, result = self._fork_map_calls(monkeypatch, "loo", degrees=(0,))
+        assert calls == [9]
+        assert [s.screened for s in result.scores] == [False, True]
 
-    def test_one_fork_map_call_per_osa_selection(self, monkeypatch):
-        # one-step-ahead folds hold out rows 3 to n - 1
-        assert self._fork_map_calls(monkeypatch, "osa") == [4 * (9 - 3)]
+    def test_fork_map_calls_per_osa_selection(self, monkeypatch):
+        # one-step-ahead folds hold out rows 3 to n - 1; no candidate is screened
+        calls, result = self._fork_map_calls(monkeypatch, "osa", degrees=(0, 1))
+        assert calls == [9 - 3, 3 * (9 - 3)]
+        assert not any(s.screened for s in result.scores)
 
     @staticmethod
-    def _fork_map_calls(monkeypatch, scheme):
+    def _fork_map_calls(monkeypatch, scheme, degrees):
         calls = []
         real = selection.fork_map
 
@@ -195,54 +257,68 @@ class TestOneFoldPool:
 
         monkeypatch.setattr(selection, "fork_map", counted)
         data = _wiggle()
-        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        grid = CandidateGrid(degrees=degrees, families=("SE", "M52"))
         result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
         assert data.n == 9 and all(not s.failed for s in result.scores)
-        return calls
+        return calls, result
 
     def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
-        # M52 refits fail in the folds that leave out observations 2 and 5;
-        # the candidate reports the first of them, and SE is unaffected
+        # the leader, 1:SE, fails its refits in the folds that leave out
+        # observations 2 and 5: it reports the first of them, and every other
+        # candidate is refit, the M52 ones that the screen would drop included
         data = _wiggle()
         real = selection.fit_ml
 
         def fit_ml(d, degree, family, opts):
             missing = [i for i, t in enumerate(data.ts) if t not in d.ts]
-            if family == "M52" and missing and missing[0] in (2, 5):
-                raise FitError(f"no M52 fit without observation {missing[0]}")
+            if (degree, family) == (1, "SE") and missing and missing[0] in (2, 5):
+                raise FitError(f"no SE fit without observation {missing[0]}")
             return real(d, degree, family, opts)
 
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
-        grid = CandidateGrid(degrees=(0,), families=("SE", "M52"))
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
         runs = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
             runs.append(select_model(data, grid, opts=_fast_opts(seed=3)))
         serial, pooled = runs
         assert pooled.scores == serial.scores
-        se, m52 = pooled.scores
-        assert np.asarray(se.mspe).tobytes() == np.asarray(serial.scores[0].mspe).tobytes()
-        assert not se.failed and se.fit is not None
-        assert m52.failed and m52.mspe is None and m52.fit is None
-        assert m52.error == "no M52 fit without observation 2"
-        assert pooled.winner.family == "SE"
+        for a, b in zip(pooled.scores, serial.scores):
+            assert np.asarray(a.mspe, dtype=float).tobytes() == np.asarray(b.mspe, dtype=float).tobytes()
+        others = list(pooled.scores)
+        se = others.pop(2)
+        assert se.failed and se.mspe is None and se.fit is None
+        assert se.error == "no SE fit without observation 2"
+        assert all(not (s.failed or s.screened) and s.fit is not None for s in others)
+        assert pooled.winner == min(others, key=lambda s: s.mspe)
 
     def test_loo_mspe_equals_the_selection_score(self):
-        data = _wiggle()
-        opts = _fast_opts(seed=1)
-        result = select_model(data, CandidateGrid(degrees=(0,), families=("SE", "M52")), opts=opts)
-        for score in result.scores:
-            alone = loo_mspe(data, score.degree, score.family, opts)
-            assert np.asarray(alone).tobytes() == np.asarray(score.mspe).tobytes()
+        self._check_scores(_wiggle(), loo_mspe, "loo")
 
     def test_osa_mspe_equals_the_selection_score(self):
-        data = _wiggle()
+        # on a steady climb the one-step-ahead screen drops the constant-mean candidates
+        self._check_scores(_ramp(), osa_mspe, "osa")
+
+    @staticmethod
+    def _check_scores(data, mspe, scheme):
+        """A refit candidate scores `mspe` and a screened one `mspe(fixed_theta=)`
+        at its full-data fit, bit for bit; the screen drops exactly the
+        candidates whose closed-form score exceeds the leader's refit score."""
         opts = _fast_opts(seed=1)
-        result = select_model(data, CandidateGrid(degrees=(0,), families=("SE", "M52")), scheme="osa",
-                              opts=opts)
-        for score in result.scores:
-            alone = osa_mspe(data, score.degree, score.family, opts=opts)
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        result = select_model(data, grid, scheme=scheme, opts=opts)
+        closed = [mspe(data, s.degree, s.family, fixed_theta=s.fit.theta) for s in result.scores]
+        refit = [i for i, s in enumerate(result.scores) if not s.screened]
+        assert 0 < len(refit) < len(result.scores)
+        leader = min(refit, key=lambda i: closed[i])
+        for score, fixed in zip(result.scores, closed):
+            if score.screened:
+                alone = fixed
+                assert score.mspe > result.winner.mspe
+            else:
+                alone = mspe(data, score.degree, score.family, opts=opts)
             assert np.asarray(alone).tobytes() == np.asarray(score.mspe).tobytes()
+            assert score.screened == (fixed > result.scores[leader].mspe)
 
     @pytest.mark.parametrize("scheme, reason", [
         ("loo", "leave-one-out scoring needs n >= 4 observations, got 3"),
