@@ -239,7 +239,17 @@ def _gls(Xw: np.ndarray, yw: np.ndarray) -> np.ndarray:
     return x[:p, 0]
 
 
-def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float):
+def _ml_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two n x n buffers of _profile_mll, which one ML fit reuses in every evaluation.
+
+    The first, C-ordered, holds the gathered Gram, then its factor L, then
+    L^-T.  The second, Fortran-ordered, receives K^-1 - a a^T in its upper
+    triangle; its strict lower triangle is never written and stays zero.
+    """
+    return np.empty((n, n)), np.zeros((n, n), order="F")
+
+
+def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float, work=None):
     """Profile marginal log likelihood and its gradient: mean coefficients replaced by GLS.
 
     Returns (loglik, betas, grad).  The GLS coefficients maximize the
@@ -248,31 +258,34 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     for the kernel parameters (alpha, rho[, nu]) and then sigma, from
     GPML eq. 5.9: 1/2 tr((a a^T - K^-1) dK/d theta) with a = K^-1 (y - X beta).
     Each dK/d log theta is gathered from the distinct lags, so each trace is
-    a dot product over them.  The caller checks the design for finiteness
-    once per fit.
+    a dot product over them.  work is _ml_workspace(n), fresh when not
+    given; the values do not depend on what it held.  The caller checks the
+    design for finiteness once per fit.
     """
     lags, index = data.lags
+    buf, gap = work or _ml_workspace(data.n)
     # one evaluation of k and k' serves the Gram and the gradient rows
     k, dk_dlog = kernel_log_param_grads(kernel, lags)
-    L = _factor(data, kernel, sigma, k)
+    L = _factor(data, kernel, sigma, k, out=buf)
     Xw = _whiten(L, design)
     yw = _whiten(L, data.ys)
     betas = _gls(Xw, yw)
     white = yw - Xw @ betas
     ll = _gauss_loglik(L, white)
-    # a = L^-T white by trs; L^-T by trtri, then the upper triangle of
-    # K^-1 - a a^T by syrk and a rank-one syr update.  Unlike potri (its
-    # lauum step) or trmv, these, and the potrf behind L, gave the same bits
-    # with one and two OpenBLAS threads up to n = 90, the range
+    # a = L^-T white by trs; L^-T by trtri, in L's memory, then the upper
+    # triangle of K^-1 - a a^T by syrk and a rank-one syr update.  Unlike
+    # potri (its lauum step) or trmv, these, and the potrf behind L, gave the
+    # same bits with one and two OpenBLAS threads up to n = 90, the range
     # test_ml_fit_is_blas_thread_invariant covers; from n = 128 on, all of
     # them differed.  numpy's matmul for the same product took ~100x longer
     # at n = 90 with two unpinned BLAS threads, in the optimizer's loop.
     a, _ = dtrtrs(L.T, white, lower=0)
-    inv_lt, info = dtrtri(L.T, lower=0)
+    inv_lt, info = dtrtri(L.T, lower=0, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"triangular inverse failed at diagonal {info - 1}")
     del L
-    gap = dsyrk(1.0, inv_lt, c=np.zeros_like(inv_lt), overwrite_c=1)
+    # with beta = 0, BLAS syrk does not read C on input, so what gap held does not matter
+    gap = dsyrk(1.0, inv_lt, c=gap, overwrite_c=1)
     del inv_lt
     gap = dsyr(-1.0, a, a=gap, overwrite_a=1)
     # gap is Fortran-ordered, so its memory-order ravel is the lower triangle
@@ -378,6 +391,11 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     design = np.vander(data.ts, space.degree + 1, increasing=True)
     if not np.all(np.isfinite(design)):
         raise FitError("the mean design matrix has non-finite entries")
+    # The lag table first, so its transient memory is freed before the
+    # workspace exists; every evaluation then gathers, factors and inverts in
+    # the same two buffers instead of mapping fresh ones.
+    data.lags
+    work = _ml_workspace(data.n)
 
     # the optimizer's coordinates: logs of the positive parameters
     dims = space.positive
@@ -393,7 +411,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
         try:
             values = {n: math.exp(v) for n, v in zip(dims, z)}
             with np.errstate(all="ignore"):
-                ll, betas, grad = _profile_mll(data, design, space.kernel(values), values["sigma"])
+                ll, betas, grad = _profile_mll(data, design, space.kernel(values), values["sigma"], work)
         except (FactorizationError, ValueError, OverflowError):
             return None
         if not (np.isfinite(ll) and np.isfinite(grad).all()):
@@ -440,6 +458,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     theta = space.theta(dict(zip(space.beta_names, betas)) | values)
 
     if family == "RQ" and values["nu"] > NU_DIVERGENCE:
+        del work  # the SE refit allocates its own
         return replace(fit_ml(data, degree, "SE", opts), substituted_from="RQ")
     return FitResult(
         theta=theta,

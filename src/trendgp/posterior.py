@@ -34,6 +34,10 @@ _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
 # for genuinely degenerate inputs.
 _JITTERS = (1e-10, 1e-8, 1e-6)
 
+# Doubles in one block of n x (rows or points) work: the lag table's row
+# blocks, and the cap on Posterior.marginal's point blocks.
+_BLOCK_DOUBLES = 2**15
+
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -73,10 +77,35 @@ class Dataset:
 
     @functools.cached_property
     def lags(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct lags |t_i - t_j| and the n x n index that gathers them back."""
-        ts = self.ts
-        lags, index = np.unique(np.abs(ts[:, None] - ts[None, :]).ravel(), return_inverse=True)
-        return lags, index.reshape(self.n, self.n)
+        """Distinct lags |t_i - t_j|, ascending, and the n x n index that gathers them back.
+
+        The tables np.unique(|t_i - t_j|, return_inverse=True) gives, without
+        sorting n^2 values.  The times increase strictly, so the n(n-1)/2
+        differences t_j - t_i (j > i) are every nonzero lag, bit for bit the
+        |t_i - t_j| of either order; they are sorted in one buffer.  The index
+        is then filled in row blocks by searchsorted, which finds each lag
+        exactly.  Next to the index, at most about n^2 / 2 doubles are held.
+        """
+        ts, n = self.ts, self.n
+        rows = max(1, _BLOCK_DOUBLES // max(n, 1))
+        lags = np.zeros(n * (n - 1) // 2 + min(n, 1))  # the last slot keeps lag 0
+        at = 0
+        for lo in range(0, n, rows):
+            diff = ts[None, lo:] - ts[lo : lo + rows, None]
+            upper = diff[diff > 0]
+            lags[at : at + upper.size] = upper
+            at += upper.size
+        lags.sort()
+        distinct = np.empty(lags.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(lags[1:], lags[:-1], out=distinct[1:])
+        lags = lags[distinct]
+        index = np.empty((n, n), dtype=np.intp)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            index[lo:hi, lo:] = np.searchsorted(lags, np.abs(ts[None, lo:] - ts[lo:hi, None]))
+            index[lo:hi, :lo] = index[:lo, lo:hi].T  # the earlier blocks' columns, by symmetry
+        return lags, index
 
 
 @dataclass(frozen=True)
@@ -151,17 +180,24 @@ def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
     return blocks
 
 
-def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric C-ordered mat, which the caller checks for finiteness.
+def _chol(mat: np.ndarray, scale: float, refill=None) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric C-ordered mat, computed in mat's own memory.
 
     LAPACK potrf factors the upper triangle of mat's Fortran view, which is
-    mat's own lower triangle, so the transpose of the upper factor it returns
-    is the C-ordered lower one, with no transposed copy either way.  mat
-    stays intact, so each jitter rung starts from it.
+    mat's own lower triangle, and zeroes the other one, so mat ends up
+    holding the C-ordered lower factor, with no copy.  A failed
+    attempt leaves mat overwritten: each jitter rung has refill(mat) write the
+    matrix again, then adds the rung to its diagonal.  Without refill, one
+    copy of mat is kept for that.  The caller checks mat for finiteness.
     """
+    if refill is None:
+        kept = mat.copy()
+        refill = functools.partial(np.copyto, src=kept)
     for jit in (0.0, *_JITTERS):
-        gram = mat if jit == 0.0 else mat + jit * scale * np.eye(mat.shape[0])
-        upper, info = dpotrf(gram.T, lower=0, overwrite_a=jit != 0.0)
+        if jit:
+            refill(mat)
+            np.fill_diagonal(mat, mat.diagonal() + jit * scale)
+        upper, info = dpotrf(mat.T, lower=0, overwrite_a=1)
         if info == 0:
             return upper.T
     raise FactorizationError(
@@ -169,12 +205,16 @@ def _chol(mat: np.ndarray, scale: float) -> np.ndarray:
     )
 
 
-def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | None = None) -> np.ndarray:
+def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factor of kernel_gram(kernel, ts, ts) + sigma^2 I.
 
     The Gram is gathered from k, the kernel on the distinct lags (evaluated
     here unless the caller already holds it), and equals the dense assembly
     bit for bit; its finiteness is checked on those lags, not on n^2 entries.
+    It is gathered into out, a C-ordered n x n buffer (a new one without
+    it), which _chol factors in place and regathers for a jitter rung; so a
+    factor holds one n x n array.
     """
     lags, index = data.lags
     if k is None:
@@ -182,9 +222,15 @@ def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | Non
     noise = sigma**2
     if not (math.isfinite(noise) and np.isfinite(k).all()):
         raise FactorizationError("covariance matrix contains non-finite entries")
-    K = k[index]
-    K.reshape(-1)[:: data.n + 1] += noise
-    return _chol(K, kernel.alpha**2)
+
+    def gather(mat: np.ndarray) -> None:
+        # mode="clip" writes straight into mat; the default "raise" buffers an n x n copy
+        np.take(k, index, out=mat, mode="clip")
+        mat.reshape(-1)[:: data.n + 1] += noise
+
+    K = np.empty((data.n, data.n)) if out is None else out
+    gather(K)
+    return _chol(K, kernel.alpha**2, gather)
 
 
 def _whiten(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,12 +313,16 @@ class Posterior:
         return JointPosterior(grid=grid, blocks=blocks, mu=np.concatenate(means), sigma_mat=cov)
 
     def marginal(self, grid, need_d2f: bool = False) -> MarginalMoments:
-        """Pointwise moments of f and df (and d2f), in blocks of 256 points.
+        """Pointwise moments of f and df (and d2f), in blocks of 64 to 256 points.
 
-        Memory is O(256 n), not 9 n p doubles.  Blocks start at multiples of 256,
-        so OpenBLAS dgemv_t splits the posterior-mean rows by 4 as for one block,
-        and a last block of one point joins the one before (a one-column solve
-        takes another BLAS path): the moments equal one whole-grid call's bit for bit."""
+        A block is the largest multiple of 64 points, up to 256, whose n x block
+        array holds at most 2^15 doubles, and never under 64 points: 256 up to
+        n = 128, 128 at n = 200, 64 from n = 257 on.  So each n x block array
+        of its work holds O(2^15) doubles, not 9 n p doubles in all.  Blocks
+        start at multiples of 64, so OpenBLAS dgemv_t splits the posterior-mean
+        rows by 4 as for one block, and a last block of one point joins the one
+        before (a one-column solve takes another BLAS path): the moments equal
+        one whole-grid call's bit for bit."""
         kernel = self.theta.kernel
         max_needed = 2 if need_d2f else 1
         require_order(kernel.family, max_needed)
@@ -284,7 +334,8 @@ class Posterior:
         pairs = ((0, 0), (1, 1), (2, 2), (1, 2))[: 4 if need_d2f else 2]
         k0 = _stationary_derivs(kernel, np.zeros(1), [os + ot for os, ot in pairs])
         prior = {(os, ot): (-1.0 if ot % 2 else 1.0) * k[0] for (os, ot), k in zip(pairs, k0)}
-        bounds = [0, *range(256, grid.size - 1, 256), grid.size]  # an empty grid fails in _conditioned
+        block = min(256, max(64, _BLOCK_DOUBLES // max(self.data.n, 1) // 64 * 64))
+        bounds = [0, *range(block, grid.size - 1, block), grid.size]  # an empty grid fails in _conditioned
         for lo, hi in zip(bounds, bounds[1:]):
             _, means, whitened = self._conditioned(grid[lo:hi], range(max_needed + 1))
 

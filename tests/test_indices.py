@@ -304,8 +304,8 @@ class TestOnePath:
     """Reports and studies take their indices from the path the public functions use.
 
     The values agree to a few ulp, not always bit for bit: the same point can sit
-    at another row of a 256-point block in the two calls, and the BLAS kernels may
-    sum the last rows of a block in another order.
+    at another row of a `Posterior.marginal` block in the two calls, and the BLAS
+    kernels may sum the last rows of a block in another order.
     """
 
     def test_ml_report_matches_the_public_functions(self):

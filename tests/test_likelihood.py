@@ -8,13 +8,14 @@ computation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from trendgp.estimation import _profile_mll, marginal_loglik
+from trendgp.estimation import _ml_workspace, _profile_mll, marginal_loglik
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
 from trendgp.posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol, _factor
 
@@ -130,6 +131,34 @@ def test_jitter_rung_gives_the_dense_factor():
     assert _same_bits(got_betas, betas)
 
 
+def test_reused_ml_workspace_gives_the_bits_of_fresh_buffers():
+    # A sequence of evaluations through one workspace, as fit_ml makes them,
+    # with a jitter rung part-way through: the rung regathers into the
+    # workspace, and no evaluation sees what an earlier one left there.
+    ts = np.array([0.0, 1e-9, 0.15, 0.4, 0.4 + 1e-9, 0.55, 0.8, 1.0])
+    data = Dataset(ts, np.sin(6.0 * ts))
+    design = np.vander(ts, 2, increasing=True)
+    steps = [(KernelSpec("M52", 1.0, 0.3), 0.2), (KernelSpec("SE", 1.0, 0.3), 0.0),
+             (KernelSpec("RQ", 0.7, 0.2, 1.5), 0.05), (KernelSpec("SE", 1.3, 0.5), 0.0),
+             (KernelSpec("SE", 0.4, 0.1), 0.3)]
+    work = _ml_workspace(data.n)
+    rungs = 0
+    for kernel, sigma in steps:
+        dense = kernel_gram(kernel, ts, ts) + sigma**2 * np.eye(ts.size)
+        try:
+            np.linalg.cholesky(dense)
+        except np.linalg.LinAlgError:
+            rungs += 1
+        reused = _profile_mll(data, design, kernel, sigma, work)
+        fresh = _profile_mll(data, design, kernel, sigma)
+        assert _same_bits([reused[0], *reused[1], *reused[2]], [fresh[0], *fresh[1], *fresh[2]])
+        _, _, profile, betas = _dense(data, 1, Hyperparams(MeanSpec((0.0, 0.0)), kernel, sigma))
+        assert _same_bits([reused[0], *reused[1]], [profile, *betas])
+        # syrk and syr write the upper triangle only; the gradient sums the whole buffer
+        assert not np.tril(work[1], -1).any()
+    assert rungs == 2
+
+
 @pytest.mark.parametrize(
     "ts, sigma",
     [
@@ -156,6 +185,57 @@ def test_distinct_lags_bounded_by_pairs(ts):
     lags, _ = Dataset(ts, np.zeros(n)).lags
     assert lags.size <= n * (n - 1) // 2 + 1
     assert lags[0] == 0.0
+
+
+def _lag_times(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "calendar":  # daily times in 2020-2021, some days missing
+        days = np.sort(rng.choice(731, min(n, 731), replace=False))
+        return 2020.0 + days / 366.0
+    if kind == "uniform":  # irregular: almost every lag distinct
+        return np.unique(rng.uniform(-50.0, 50.0, n))
+    if kind == "linspace":  # lags of one offset differ by an ulp
+        return np.linspace(rng.uniform(-5.0, 5.0), rng.uniform(6.0, 20.0), n)
+    return np.arange(float(n % 2))  # n = 0 or 1
+
+
+lag_times = st.builds(
+    _lag_times,
+    st.sampled_from(["calendar", "uniform", "linspace", "tiny"]),
+    st.integers(0, 300),  # past 181 points the table is built in several row blocks
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ts=lag_times)
+def test_lag_table_is_sorted_distinct_exact_and_symmetric(ts):
+    n = ts.size
+    lags, index = Dataset(ts, np.zeros(n)).lags
+    assert np.all(lags[1:] > lags[:-1])
+    assert index.shape == (n, n)
+    assert _same_bits(lags[index], np.abs(ts[:, None] - ts[None, :]))
+    assert np.array_equal(index, index.T)
+    # the tables of one sort over every lag, which the row blocks avoid
+    want_lags, want_index = np.unique(np.abs(ts[:, None] - ts[None, :]).ravel(), return_inverse=True)
+    assert _same_bits(lags, want_lags)
+    assert np.array_equal(index.ravel(), want_index) and index.dtype == want_index.dtype
+
+
+def test_lag_table_transient_memory_is_bounded():
+    # Irregular times have n(n-1)/2 + 1 distinct lags, the most there can be.
+    # Sorting all n^2 lags took 16.8 MiB here; the table stays within 2 n^2
+    # doubles, the n x n index it keeps included.
+    n = 600
+    data = Dataset(np.sort(np.random.default_rng(3).uniform(0.0, 1.0, n)), np.zeros(n))
+    tracemalloc.start()
+    try:
+        lags, _ = data.lags
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lags.size == n * (n - 1) // 2 + 1
+    assert peak <= 2 * n * n * 8, peak
 
 
 def test_integer_grid_has_one_lag_per_offset():

@@ -243,7 +243,7 @@ class TestPosteriorFactorOnce:
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from(["SE", "RQ", "M52", "M32"]),
-        st.sampled_from([0, 1, 2, 7, 15]),
+        st.sampled_from([0, 1, 2, 7, 15, 520]),
         st.integers(0, 2**31 - 1),
         st.integers(1, 130),
         st.one_of(st.integers(1, 300), st.just(None)),
@@ -251,20 +251,23 @@ class TestPosteriorFactorOnce:
     @example("SE", 7, 3, 64, 1)  # 257 points: a final block of one point
     @example("M52", 15, 4, 128, 1)  # 513 points
     @example("RQ", 2, 5, 125, None)  # 500-point grid, as in the report, plus its nodes
+    @example("M52", 520, 6, 16, 1)  # 65 points in 64-point blocks: a final block of one point
+    @example("SE", 520, 7, 125, None)  # 500-point grid in 64-point blocks
     def test_grid_moments_ignore_extra_points(self, family, n, seed, quads, n_extra):
         # Extra points may leave the data span; the first p moments keep every
         # bit, also where the grid and the extra points straddle the blocks of
-        # `Posterior.marginal`.  n_extra None makes the total 1 mod 256.  The
-        # grid holds a multiple of 4 points, as the 500-point report grid
-        # does: BLAS matrix-vector kernels (OpenBLAS dgemv_t on x86) take the
-        # last p mod 4 rows of the posterior-mean product through another
-        # accumulation order, which can move those means by an ulp.
+        # `Posterior.marginal`: 256 points up to n = 128, 64 at n = 520.
+        # n_extra None makes the total 1 mod the block.  The grid holds a
+        # multiple of 4 points, as the 500-point report grid does: BLAS
+        # matrix-vector kernels (OpenBLAS dgemv_t on x86) take the last p mod 4
+        # rows of the posterior-mean product through another accumulation
+        # order, which can move those means by an ulp.
         data, theta = _instance(family, n, seed)
         lo, hi = data.span if n else (0.0, 1.0)
         rng = np.random.default_rng(seed)
         grid = rng.uniform(lo - 1.0, hi + 1.0, 4 * quads)
         if n_extra is None:
-            n_extra = (1 - grid.size) % 256
+            n_extra = (1 - grid.size) % (256 if n <= 128 else 64)
         extra = rng.uniform(-10.0, 15.0, n_extra)
         need_d2f = theta.kernel.max_order() >= 2
         alone = marginal_moments(data, theta, grid, need_d2f=need_d2f)
@@ -276,10 +279,8 @@ class TestPosteriorFactorOnce:
                 continue
             assert np.array_equal(a.view(np.int64), b[: grid.size].view(np.int64)), name
 
-    def test_marginal_memory_is_bounded_by_the_block(self):
-        # One block of p points would hold about 9 n p doubles (65 MB here);
-        # blocks of 256 points keep the peak under 12 n 256 doubles (7.4 MB).
-        n, p = 300, 3000
+    @staticmethod
+    def _marginal_peak(n: int, p: int) -> int:
         ts = np.linspace(0.0, 1.0, n)
         data = Dataset(ts, np.sin(6.0 * ts))
         post = Posterior(data, _theta(rho=0.3, sigma=0.1))
@@ -287,10 +288,22 @@ class TestPosteriorFactorOnce:
         tracemalloc.start()
         try:
             post.marginal(grid, need_d2f=True)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * n * 256 * 8, peak
+
+    def test_marginal_memory_is_bounded_by_the_block(self):
+        # One block of p points would hold about 9 n p doubles (65 MB here);
+        # at n = 300 blocks of 64 points keep the peak under 12 n 64 doubles (1.8 MB).
+        n = 300
+        peak = self._marginal_peak(n, 3000)
+        assert peak < 12 * n * 64 * 8, peak
+
+    def test_marginal_memory_at_the_report_grid_of_a_large_fit(self):
+        # The ML report's 500-point grid and its quadrature nodes (1013 points)
+        # at n = 600, as fit-large runs them: under 4 MiB.
+        peak = self._marginal_peak(600, 1013)
+        assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("family", ["SE", "RQ", "M52", "M32"])
     @pytest.mark.parametrize("n", [0, 1, 6])
