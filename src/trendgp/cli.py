@@ -124,16 +124,17 @@ def cmd_fit(args) -> int:
 
 def cmd_tdi(args) -> int:
     args.no_eti = True  # the query prints TDI only, so ETI is never computed
-    data, config, report = _load_and_run(args)
-    payload = report.payload
+    data, digest = read_timeseries(args.input)
+    config = _config_from_args(args)
+    anchor = config.resolved_anchor(data)
+    queries = [*(args.at or []), *(anchor + delta for delta in args.delta or [])] or [anchor]
+    lo, hi = data.span
+    for t in queries:  # the TDI grid spans the data; the tolerance is crosspoint's
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            raise ConfigError(f"query time {t:g} lies outside the data span [{lo:g}, {hi:g}]")
+    payload = run_fit(data, config, digest).payload
     grid = payload["grid"]
     curve = payload["curves"]["tdi"]
-    anchor = config.resolved_anchor(data)
-    queries = list(args.at or [])
-    for delta in args.delta or []:
-        queries.append(anchor + delta)
-    if not queries:
-        queries = [anchor]
     print("t\ttdi" if config.estimator == "ml" else "t\tq50\tq2.5\tq97.5")
     for t in queries:
         if config.estimator == "ml":

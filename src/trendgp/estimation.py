@@ -249,7 +249,7 @@ def _ml_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((n, n)), np.zeros((n, n), order="F")
 
 
-def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float, work=None):
+def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float, work):
     """Profile marginal log likelihood and its gradient: mean coefficients replaced by GLS.
 
     Returns (loglik, betas, grad).  The GLS coefficients maximize the
@@ -258,12 +258,12 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     for the kernel parameters (alpha, rho[, nu]) and then sigma, from
     GPML eq. 5.9: 1/2 tr((a a^T - K^-1) dK/d theta) with a = K^-1 (y - X beta).
     Each dK/d log theta is gathered from the distinct lags, so each trace is
-    a dot product over them.  work is _ml_workspace(n), fresh when not
-    given; the values do not depend on what it held.  The caller checks the
-    design for finiteness once per fit.
+    a dot product over them.  work is _ml_workspace(n); the values do not
+    depend on what it held.  The caller checks the design for finiteness
+    once per fit.
     """
     lags, index = data.lags
-    buf, gap = work or _ml_workspace(data.n)
+    buf, gap = work
     # one evaluation of k and k' serves the Gram and the gradient rows
     k, dk_dlog = kernel_log_param_grads(kernel, lags)
     L = _factor(data, kernel, sigma, k, out=buf)

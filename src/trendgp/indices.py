@@ -189,9 +189,10 @@ def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float
 def count_crossings(df_path, grid=None) -> CrossingProcess:
     """Cumulative strict sign changes of consecutive values.
 
-    An exact zero between opposite signs counts as a single crossing (and a
-    run of zeros between opposite signs also counts once); a zero touch that
-    returns to the same sign does not count.
+    Zeros carry no sign: a change is a nonzero value whose sign differs from
+    that of the previous nonzero value.  So an exact zero, or a run of zeros,
+    between opposite signs counts as a single crossing, and a zero touch that
+    returns to the same sign does not count.  NaN counts as negative.
     """
     values = np.asarray(df_path, dtype=float).ravel()
     if values.size < 2:
@@ -202,17 +203,11 @@ def count_crossings(df_path, grid=None) -> CrossingProcess:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.shape != values.shape:
             raise ValueError("grid and df_path must have equal length")
-    counts = np.zeros(values.size, dtype=int)
-    last_sign = 0
-    total = 0
-    for i, v in enumerate(values):
-        s = 0 if v == 0.0 else (1 if v > 0.0 else -1)
-        if s != 0:
-            if last_sign != 0 and s != last_sign:
-                total += 1
-            last_sign = s
-        counts[i] = total
-    return CrossingProcess(grid=grid, counts=counts)
+    signed = np.flatnonzero(values)
+    positive = values[signed] > 0.0
+    flips = np.zeros(values.size, dtype=int)
+    flips[signed[1:][positive[1:] != positive[:-1]]] = 1
+    return CrossingProcess(grid=grid, counts=np.cumsum(flips))
 
 
 def crossing_prob_mc(
@@ -223,7 +218,11 @@ def crossing_prob_mc(
     grid_density: int = 200,
     seed: int = 0,
 ) -> float:
-    """Monte-Carlo estimate of P(at least one trend sign change on [a, b])."""
+    """Monte-Carlo estimate of P(at least one trend sign change on [a, b]).
+
+    A sampled derivative path on the grid has changed sign iff it takes both
+    positive and negative values, which is `count_crossings(path).total > 0`.
+    """
     a, b = float(interval[0]), float(interval[1])
     if not a <= b:
         raise ValueError(f"interval must satisfy a <= b, got ({a}, {b})")
@@ -233,10 +232,7 @@ def crossing_prob_mc(
     grid = np.linspace(a, b, max(int(grid_density), 2))
     jp = joint_posterior(data, theta, grid, blocks=("df",))
     paths = sample_paths(jp, k, seed)
-    crossed = 0
-    for row in paths:
-        if count_crossings(row, grid).total > 0:
-            crossed += 1
+    crossed = np.count_nonzero((paths > 0.0).any(axis=1) & (paths < 0.0).any(axis=1))
     return crossed / k
 
 
@@ -252,23 +248,15 @@ def crosspoint(curve: TdiCurve, window, threshold: float = 0.5):
         raise ValueError("crosspoint needs a strictly increasing grid of >= 2 points")
     if a < grid[0] - 1e-12 or b > grid[-1] + 1e-12 or a > b:
         raise ValueError("window must lie within the curve's grid span")
-    v_a = float(np.interp(a, grid, values))
-    if v_a >= threshold:
+    # the curve at a, at the grid points in (a, b], and at b
+    inside = (grid > a) & (grid <= b)
+    ts = np.concatenate(([a], grid[inside], [b]))
+    vs = np.concatenate(([np.interp(a, grid, values)], values[inside], [np.interp(b, grid, values)]))
+    reached = vs >= threshold
+    if not reached.any():
+        return None
+    i = int(np.argmax(reached))
+    if i == 0:
         return a
-    prev_t, prev_v = a, v_a
-    for t, v in zip(grid, values):
-        if t <= a:
-            continue
-        if t > b:
-            break
-        if v >= threshold:
-            if v == prev_v:
-                return float(t)
-            frac = (threshold - prev_v) / (v - prev_v)
-            return float(prev_t + frac * (t - prev_t))
-        prev_t, prev_v = float(t), float(v)
-    v_b = float(np.interp(b, grid, values))
-    if v_b >= threshold and b > prev_t:
-        frac = (threshold - prev_v) / (v_b - prev_v)
-        return float(prev_t + frac * (b - prev_t))
-    return None
+    frac = (threshold - vs[i - 1]) / (vs[i] - vs[i - 1])
+    return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))

@@ -180,19 +180,16 @@ def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
     return blocks
 
 
-def _chol(mat: np.ndarray, scale: float, refill=None) -> np.ndarray:
+def _chol(mat: np.ndarray, scale: float, refill) -> np.ndarray:
     """Lower Cholesky factor of the symmetric C-ordered mat, computed in mat's own memory.
 
     LAPACK potrf factors the upper triangle of mat's Fortran view, which is
     mat's own lower triangle, and zeroes the other one, so mat ends up
     holding the C-ordered lower factor, with no copy.  A failed
     attempt leaves mat overwritten: each jitter rung has refill(mat) write the
-    matrix again, then adds the rung to its diagonal.  Without refill, one
-    copy of mat is kept for that.  The caller checks mat for finiteness.
+    matrix again, then adds the rung to its diagonal.  The caller checks mat
+    for finiteness.
     """
-    if refill is None:
-        kept = mat.copy()
-        refill = functools.partial(np.copyto, src=kept)
     for jit in (0.0, *_JITTERS):
         if jit:
             refill(mat)

@@ -16,7 +16,7 @@ import pytest
 
 from trendgp.dataio import iso_to_fractional_year
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, Hyperparams
+from trendgp.posterior import Dataset, Hyperparams, prior_joint, sample_paths
 
 mp.mp.dps = 50
 
@@ -129,6 +129,24 @@ def random_instance(rng, n=None, families=("SE", "RQ", "M52"), sigma_range=(0.05
     f = mean_eval(theta.mean, 0, ts) + np.linalg.cholesky(
         kernel_gram(kernel, ts, ts) + 1e-10 * kernel.alpha**2 * np.eye(n)
     ) @ rng.standard_normal(n)
+    ys = f + sigma * rng.standard_normal(n)
+    return Dataset(ts, ys), theta
+
+
+def eti_instance(rng):
+    """One of C5's instances: a zero-mean posterior on [0, 1] with data drawn from its prior."""
+    n = int(rng.integers(5, 10))
+    family = ("SE", "RQ", "M52")[int(rng.integers(3))]
+    alpha = float(rng.uniform(0.5, 2.0))
+    rho = float(rng.uniform(0.12, 0.3))
+    nu = float(rng.uniform(0.5, 5.0)) if family == "RQ" else None
+    sigma = float(rng.uniform(0.1, 0.3)) * alpha
+    theta = Hyperparams(MeanSpec((0.0,)), KernelSpec(family, alpha, rho, nu), sigma)
+    ts = np.sort(rng.uniform(0.0, 1.0, n))
+    while np.any(np.diff(ts) <= 1e-4):
+        ts = np.sort(rng.uniform(0.0, 1.0, n))
+    jp = prior_joint(theta, ts, blocks=("f",))
+    f = sample_paths(jp, 1, seed=int(rng.integers(2**31)))[0]
     ys = f + sigma * rng.standard_normal(n)
     return Dataset(ts, ys), theta
 

@@ -37,7 +37,7 @@ from trendgp.selection import CandidateGrid, loo_mspe, select_model
 from trendgp.simulation import Scenario, run_study
 from trendgp.transforms import TransformSpec, tdi_original_scale, transform_dataset
 
-from conftest import count_sign_flips, fd_rel_err, random_instance, schur_oracle
+from conftest import count_sign_flips, eti_instance, fd_rel_err, random_instance, schur_oracle
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -152,23 +152,6 @@ def test_c4_tdi_monte_carlo_oracle():
     _report(4, f"20 instances x 1e5 draws, worst |z| = {worst_z:.2f} (limit 3), {elapsed:.1f}s")
 
 
-def _eti_instance(rng):
-    n = int(rng.integers(5, 10))
-    family = ("SE", "RQ", "M52")[int(rng.integers(3))]
-    alpha = float(rng.uniform(0.5, 2.0))
-    rho = float(rng.uniform(0.12, 0.3))
-    nu = float(rng.uniform(0.5, 5.0)) if family == "RQ" else None
-    sigma = float(rng.uniform(0.1, 0.3)) * alpha
-    theta = Hyperparams(MeanSpec((0.0,)), KernelSpec(family, alpha, rho, nu), sigma)
-    ts = np.sort(rng.uniform(0.0, 1.0, n))
-    while np.any(np.diff(ts) <= 1e-4):
-        ts = np.sort(rng.uniform(0.0, 1.0, n))
-    jp = prior_joint(theta, ts, blocks=("f",))
-    f = sample_paths(jp, 1, seed=int(rng.integers(2**31)))[0]
-    ys = f + sigma * rng.standard_normal(n)
-    return Dataset(ts, ys), theta
-
-
 def test_c5_eti_monte_carlo_oracle():
     start = time.time()
     rng = np.random.default_rng(505)
@@ -176,7 +159,7 @@ def test_c5_eti_monte_carlo_oracle():
     interval = (0.0, 1.0)
     worst_rel = 0.0
     for i in range(10):
-        data, theta = _eti_instance(rng)
+        data, theta = eti_instance(rng)
         val = eti(data, theta, interval)
         grid = np.linspace(0.0, 1.0, 800)
         jp = joint_posterior(data, theta, grid, blocks=("df",))

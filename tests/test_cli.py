@@ -479,6 +479,28 @@ class TestErrorExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "fit"
 
+    @pytest.mark.parametrize("query", [["--delta", "0.5"], ["--at", "5", "--forecast"], ["--at", "-1"],
+                                       ["--at=-1e-9"], ["--anchor", "3", "--forecast"],
+                                       ["--estimator", "bayes", "--delta", "1"]],
+                             ids=["delta-past-end", "at-past-end-forecast", "at-before-start",
+                                  "just-before-start", "anchor-past-end", "bayes-delta"])
+    def test_tdi_query_outside_the_data_exits_2_before_fitting(self, series_csv, capsys, monkeypatch, query):
+        # the TDI grid spans the data even with --forecast, so a later query would read its last value
+        from trendgp import cli
+
+        monkeypatch.setattr(cli, "run_fit", lambda *a, **k: pytest.fail("run_fit called"))
+        code, _ = _run(["tdi", series_csv, "--model", "0:SE", *query])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "outside the data span" in payload["reason"]
+
+    def test_tdi_query_at_the_data_span_edges_is_accepted(self, series_csv, capsys):
+        # the series spans [0, 2] and the anchor is its last time
+        code, _ = _run(["tdi", series_csv, "--model", "0:SE", "--restarts", "2", "--grid", "20",
+                        "--at=-1e-13", "--delta", "1e-13", "--delta", "-0.5"])
+        assert code == 0
+        assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["t", "-1e-13", "2", "1.5"]
+
     @pytest.mark.parametrize("window, forecast", [("0:5", []), ("0:5", ["--forecast"]),
                                                   ("-1:2", []), ("-1e-9:2", [])],
                              ids=["past-end", "past-end-forecast", "before-start", "just-before-start"])

@@ -69,6 +69,17 @@ class TestMarginalLoglik:
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
+# The seed-1 RQ optimum sits where the likelihood is flat in nu (nu = 62.7): under
+# a = 1e3 and 1e-3 the fits stop 1.7e-4 apart in nu with equal log-likelihoods.
+# L-BFGS-B's stopping rule is relative to |loglik|, which the map shifts by n log a.
+_FLAT_NU = pytest.mark.xfail(reason="flat in nu", strict=False)
+_AFFINE_CASES = [
+    pytest.param(seed, model, id=f"{seed}-{model[0]}:{model[1]}",
+                 marks=[_FLAT_NU] if (seed, model) == (1, (0, "RQ")) else [])
+    for seed in range(12) for model in ((0, "SE"), (1, "M52"), (0, "RQ"))
+]
+
+
 class TestFitMl:
     def test_optimum_dominates_every_start(self, rng):
         data, _ = _simulated(rng)
@@ -89,6 +100,29 @@ class TestFitMl:
         assert fit1.theta.kernel.rho == pytest.approx(fit0.theta.kernel.rho, rel=1e-4)
         assert fit1.theta.kernel.alpha == pytest.approx(fit0.theta.kernel.alpha, rel=1e-4)
         assert fit1.theta.sigma == pytest.approx(fit0.theta.sigma, rel=1e-4)
+
+    @pytest.mark.parametrize("seed, model", _AFFINE_CASES)
+    def test_optimum_is_equivariant_under_affine_outcome_maps(self, seed, model):
+        # y -> a y + b: alpha and sigma scale by a, rho and nu stay, beta_0 -> a beta_0 + b,
+        # higher betas scale by a, and the log-likelihood shifts by -n log a
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 25))
+        ts = np.sort(rng.uniform(0.0, 1.0, n))
+        ys = np.sin(rng.uniform(3.0, 9.0) * ts) + 0.1 * rng.standard_normal(n)
+        opts = FitOptions(restarts=6)
+        base = fit_ml(Dataset(ts, ys), *model, opts)
+        k0, (c0, *cs) = base.theta.kernel, base.theta.mean.coefficients
+        for a, b in ((1e3, -7.0), (1e-3, 2.0), (3.7, 100.0)):
+            fit = fit_ml(Dataset(ts, a * ys + b), *model, opts)
+            k1 = fit.theta.kernel
+            assert k1.family == k0.family
+            got = [k1.alpha, fit.theta.sigma, k1.rho, *fit.theta.mean.coefficients, fit.loglik]
+            want = [a * k0.alpha, a * base.theta.sigma, k0.rho, a * c0 + b, *(a * c for c in cs),
+                    base.loglik - n * math.log(a)]
+            if k0.nu is not None:
+                got.append(k1.nu)
+                want.append(k0.nu)
+            assert got == pytest.approx(want, rel=1e-4, abs=0.0)
 
     def test_length_scale_recovery(self, rng):
         # weak identifiability allows a factor-two band on rho

@@ -23,7 +23,7 @@ from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
 from trendgp.posterior import Dataset, Hyperparams, joint_posterior, sample_paths
 from trendgp.reporting import AnalysisConfig, run_fit
 
-from conftest import count_sign_flips, random_instance
+from conftest import count_sign_flips, eti_instance, random_instance
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -259,6 +259,92 @@ class TestCountCrossings:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             count_crossings([1.0])
+
+
+def _count_crossings_loop(values):
+    """The per-element reference for count_crossings: the counts array."""
+    counts = np.zeros(len(values), dtype=int)
+    last_sign = 0
+    total = 0
+    for i, v in enumerate(values):
+        s = 0 if v == 0.0 else (1 if v > 0.0 else -1)
+        if s != 0:
+            if last_sign != 0 and s != last_sign:
+                total += 1
+            last_sign = s
+        counts[i] = total
+    return counts
+
+
+def _crosspoint_loop(curve, window, threshold):
+    """The per-element reference for crosspoint, on a window already checked."""
+    a, b = float(window[0]), float(window[1])
+    grid, values = curve.grid, curve.values
+    v_a = float(np.interp(a, grid, values))
+    if v_a >= threshold:
+        return a
+    prev_t, prev_v = a, v_a
+    for t, v in zip(grid, values):
+        if t <= a:
+            continue
+        if t > b:
+            break
+        if v >= threshold:
+            if v == prev_v:
+                return float(t)
+            frac = (threshold - prev_v) / (v - prev_v)
+            return float(prev_t + frac * (t - prev_t))
+        prev_t, prev_v = float(t), float(v)
+    v_b = float(np.interp(b, grid, values))
+    if v_b >= threshold and b > prev_t:
+        frac = (threshold - prev_v) / (v_b - prev_v)
+        return float(prev_t + frac * (b - prev_t))
+    return None
+
+
+class TestAgainstTheLoops:
+    """The array code gives the per-element loops' results bit for bit."""
+
+    def test_count_crossings(self):
+        rng = np.random.default_rng(19)
+        levels = np.array([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0, np.nan])
+        for _ in range(3000):
+            n = int(rng.integers(2, 30))
+            values = rng.choice(levels, n) if rng.random() < 0.7 else rng.standard_normal(n)
+            got = count_crossings(values).counts
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _count_crossings_loop(values))
+
+    def test_crosspoint(self):
+        rng = np.random.default_rng(20)
+        found = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 25))
+            grid = np.linspace(0.0, 1.0, n) if rng.random() < 0.5 else np.cumsum(rng.uniform(0.01, 1.0, n))
+            values = rng.uniform(0.0, 1.0, n)
+            if rng.random() < 0.5:  # few levels: ties with each other and with the threshold
+                values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
+            curve = TdiCurve(grid=grid, values=values, anchor=float(grid[-1]))
+            ends = np.concatenate([grid, rng.uniform(grid[0], grid[-1], 2),
+                                   [grid[0] - 1e-13, grid[-1] + 1e-13]])
+            a, b = np.sort(rng.choice(ends, 2))
+            threshold = float(rng.choice([0.5, 0.25, 1.0, 0.0, rng.uniform()]))
+            got = crosspoint(curve, (a, b), threshold)
+            want = _crosspoint_loop(curve, (a, b), threshold)
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                assert type(got) is float and got == want
+        assert 1000 < found < 2900
+
+    def test_crossing_prob_mc_on_the_c5_instances(self):
+        rng = np.random.default_rng(505)
+        k, grid = 10_000, np.linspace(0.0, 1.0, 300)
+        for i in range(10):
+            data, theta = eti_instance(rng)
+            got = crossing_prob_mc(data, theta, (0.0, 1.0), k=k, grid_density=300, seed=6000 + i)
+            paths = sample_paths(joint_posterior(data, theta, grid, blocks=("df",)), k, 6000 + i)
+            assert got == sum(count_crossings(row, grid).total > 0 for row in paths) / k
 
 
 class TestLocalEtiCurveShape:

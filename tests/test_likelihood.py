@@ -7,6 +7,7 @@ the profile objective and the log likelihood all equal the direct n x n
 computation.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -65,7 +66,7 @@ def _dense(data: Dataset, degree: int, theta: Hyperparams):
     """The dense n x n path: factor, log likelihood, profile objective, GLS betas."""
     n = data.n
     K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(n)
-    L = _chol(K, theta.kernel.alpha**2)
+    L = _chol(K, theta.kernel.alpha**2, functools.partial(np.copyto, src=K.copy()))
     logdet = np.sum(np.log(np.diag(L)))
     white = solve_triangular(L, data.ys - mean_eval(theta.mean, 0, data.ts), lower=True)
     loglik = float(-0.5 * n * _LOG_2PI - logdet - 0.5 * white @ white)
@@ -107,7 +108,7 @@ def test_objective_and_loglik_match_dense_reference(ts, kernel, log_sigma, degre
     assert _same_bits(Posterior(data, theta).loglik, loglik)
     assert _same_bits(marginal_loglik(data, theta), loglik)
     design = np.vander(data.ts, degree + 1, increasing=True)
-    got_profile, got_betas, _ = _profile_mll(data, design, kernel, theta.sigma)
+    got_profile, got_betas, _ = _profile_mll(data, design, kernel, theta.sigma, _ml_workspace(data.n))
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
 
@@ -122,11 +123,12 @@ def test_jitter_rung_gives_the_dense_factor():
     dense = kernel_gram(kernel, ts, ts) + 0.0 * np.eye(ts.size)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(dense)
-    assert _same_bits(_factor(data, kernel, 0.0), _chol(dense, kernel.alpha**2))
+    assert _same_bits(_factor(data, kernel, 0.0),
+                      _chol(dense, kernel.alpha**2, functools.partial(np.copyto, src=dense.copy())))
     L, loglik, profile, betas = _dense(data, 0, theta)
     assert _same_bits(marginal_loglik(data, theta), loglik)
     design = np.vander(ts, 1, increasing=True)
-    got_profile, got_betas, _ = _profile_mll(data, design, kernel, 0.0)
+    got_profile, got_betas, _ = _profile_mll(data, design, kernel, 0.0, _ml_workspace(data.n))
     assert _same_bits(got_profile, profile)
     assert _same_bits(got_betas, betas)
 
@@ -150,7 +152,7 @@ def test_reused_ml_workspace_gives_the_bits_of_fresh_buffers():
         except np.linalg.LinAlgError:
             rungs += 1
         reused = _profile_mll(data, design, kernel, sigma, work)
-        fresh = _profile_mll(data, design, kernel, sigma)
+        fresh = _profile_mll(data, design, kernel, sigma, _ml_workspace(data.n))
         assert _same_bits([reused[0], *reused[1], *reused[2]], [fresh[0], *fresh[1], *fresh[2]])
         _, _, profile, betas = _dense(data, 1, Hyperparams(MeanSpec((0.0, 0.0)), kernel, sigma))
         assert _same_bits([reused[0], *reused[1]], [profile, *betas])
@@ -262,7 +264,7 @@ def test_profile_gradient_matches_central_differences(layout, degree):
         def profile(z):
             nu = math.exp(z[2]) if family == "RQ" else None
             return _profile_mll(data, design, KernelSpec(family, math.exp(z[0]), math.exp(z[1]), nu),
-                                math.exp(z[-1]))
+                                math.exp(z[-1]), _ml_workspace(data.n))
 
         _, _, grad = profile(z)
         fd = np.empty_like(grad)

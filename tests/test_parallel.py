@@ -16,6 +16,7 @@ from trendgp.estimation import (
     FitOptions,
     McmcError,
     McmcOptions,
+    _ml_workspace,
     _profile_mll,
     default_priors,
     fit_bayes,
@@ -216,7 +217,7 @@ def test_ml_fit_is_blas_thread_invariant(blas_threads, n):
     runs = []
     for threads in (1, 2):
         blas_threads(threads)
-        ll, betas, grad = _profile_mll(data, design, KernelSpec("M52", 0.8, 0.4), 0.1)
+        ll, betas, grad = _profile_mll(data, design, KernelSpec("M52", 0.8, 0.4), 0.1, _ml_workspace(data.n))
         fit = fit_ml(data, 1, "RQ", FitOptions(restarts=2, seed=5))
         k = fit.theta.kernel
         runs.append((_bits([ll, *betas, *grad]),
