@@ -27,26 +27,19 @@ from .posterior import (
     Hyperparams,
     JointPosterior,
     Posterior,
-    joint_posterior,
     marginal_moments,
-    predictive,
     prior_joint,
-    sample_paths,
 )
 from .indices import (
     CrossingProcess,
-    LocalEtiTerms,
     TdiCurve,
     count_crossings,
-    crossing_prob_mc,
     crosspoint,
     eti,
-    local_eti,
     local_eti_curve,
-    tdi,
     tdi_curve,
 )
-from .transforms import TransformSpec, back_transform_summary, tdi_original_scale, transform_dataset
+from .transforms import TransformSpec, back_transform_summary, transform_dataset
 from .estimation import (
     FitError,
     FitOptions,
@@ -62,7 +55,6 @@ from .estimation import (
     fit_bayes,
     fit_ml,
     index_posterior,
-    marginal_loglik,
     rhat,
 )
 from .selection import CandidateGrid, SelectionResult, loo_mspe, osa_mspe, select_model
@@ -73,7 +65,6 @@ from .simulation import (
     naive_sign_changes,
     paper_truth_kernel,
     run_study,
-    simulate_gp,
     squared_l2,
 )
 

@@ -299,15 +299,6 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     return ll, tuple(betas), grad
 
 
-def marginal_loglik(data: Dataset, theta: Hyperparams) -> float:
-    """Log density of the observations with the latent GP integrated out.
-
-    Includes the -(n/2) log 2 pi constant, so the value matches a direct
-    multivariate-normal log density evaluation.
-    """
-    return Posterior(data, theta).loglik
-
-
 # ---------------------------------------------------------------------------
 # maximum likelihood
 

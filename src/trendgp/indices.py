@@ -1,14 +1,15 @@
 """Trend direction and trend instability indices.
 
 The Trend Direction Index (TDI) is the posterior probability that the
-latent derivative exceeds a threshold (zero by default) at a point in
-time.  The Expected Trend Instability (ETI) is the expected number of
-sign changes of the derivative on an interval; its local intensity comes
-from the level-crossing rate of the posterior (df, d2f) pair and is
-integrated by composite Simpson quadrature.
+latent derivative is positive at a point in time.  The Expected Trend
+Instability (ETI) is the expected number of sign changes of the derivative
+on an interval; its local intensity comes from the level-crossing rate of
+the posterior (df, d2f) pair and is integrated by composite Simpson
+quadrature.
 
 `evaluate_indices` gives all three from one `Posterior.marginal` call on a grid
-and the Simpson nodes, for the ML report, the Bayesian draws, the study and `eti`.
+and the Simpson nodes, for the ML report, the Bayesian draws, the study,
+`tdi_curve`, `local_eti_curve` and `eti`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.special import erf
 
-from .kernels import AssumptionError, require_assumptions
-from .posterior import Dataset, Hyperparams, MarginalMoments, Posterior, joint_posterior, marginal_moments, sample_paths
+from .kernels import AssumptionError
+from .posterior import Dataset, Hyperparams, MarginalMoments, Posterior
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -51,15 +52,6 @@ class TdiCurve:
 
 
 @dataclass(frozen=True)
-class LocalEtiTerms:
-    """Ingredients of the local crossing intensity at one time point."""
-
-    lam: float
-    omega: float
-    zeta: float
-
-
-@dataclass(frozen=True)
 class CrossingProcess:
     """Cumulative count of derivative sign changes along a grid."""
 
@@ -75,34 +67,15 @@ def _phi(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.asarray(x) ** 2)
 
 
-def _gauss_upper(mean, var, threshold=0.0):
-    """P(N(mean, var) > threshold), guarding the degenerate-variance case."""
+def _gauss_upper(mean, var):
+    """P(N(mean, var) > 0), guarding the degenerate-variance case."""
     var = np.asarray(var, dtype=float)
     if np.any(var <= 0.0):
         raise AssumptionError(
             "posterior variance of the trend is not positive (assumption A4 fails pointwise)"
         )
-    z = (np.asarray(mean, dtype=float) - threshold) / np.sqrt(var)
+    z = np.asarray(mean, dtype=float) / np.sqrt(var)
     return 0.5 + 0.5 * erf(z / _SQRT2)
-
-
-def tdi(data: Dataset, theta: Hyperparams, t: float, delta: float = 0.0, threshold: float = 0.0) -> float:
-    """Probability that the latent trend at t + delta exceeds `threshold`."""
-    mm = marginal_moments(data, theta, [float(t) + float(delta)])
-    return float(_gauss_upper(mm.mu_df, mm.var_df, threshold)[0])
-
-
-def tdi_curve(
-    data: Dataset,
-    theta: Hyperparams,
-    grid,
-    anchor: float,
-    threshold: float = 0.0,
-) -> TdiCurve:
-    """Elementwise TDI over a grid under the anchor reparameterization."""
-    mm = marginal_moments(data, theta, grid)
-    values = _gauss_upper(mm.mu_df, mm.var_df, threshold)
-    return TdiCurve(grid=mm.grid, values=values, anchor=float(anchor))
 
 
 def _local_eti_from_moments(mm: MarginalMoments):
@@ -121,19 +94,6 @@ def _local_eti_from_moments(mm: MarginalMoments):
     zeta = (mm.mu_df * s2 * omega / s1 - mm.mu_d2f) / (s2 * root)
     rate = lam * _phi(mm.mu_df / s1) * (2.0 * _phi(zeta) + zeta * erf(zeta / _SQRT2))
     return np.maximum(rate, 0.0), lam, omega, zeta
-
-
-def local_eti(data: Dataset, theta: Hyperparams, t: float) -> tuple[float, LocalEtiTerms]:
-    """Local expected rate of trend sign changes at time t."""
-    mm = marginal_moments(data, theta, [float(t)], need_d2f=True)
-    rate, lam, omega, zeta = _local_eti_from_moments(mm)
-    return float(rate[0]), LocalEtiTerms(lam=float(lam[0]), omega=float(omega[0]), zeta=float(zeta[0]))
-
-
-def local_eti_curve(data: Dataset, theta: Hyperparams, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Local ETI over a grid; returns (grid, rates)."""
-    mm = marginal_moments(data, theta, grid, need_d2f=True)
-    return mm.grid, _local_eti_from_moments(mm)[0]
 
 
 def _simpson(rate: np.ndarray, h: float) -> float:
@@ -180,6 +140,18 @@ def evaluate_indices(post: Posterior, grid, intervals=(), want_eti: bool = True,
     return on_grid, tdi_vals, rate[:p].copy(), etis
 
 
+def tdi_curve(data: Dataset, theta: Hyperparams, grid, anchor: float) -> TdiCurve:
+    """Elementwise TDI over a grid under the anchor reparameterization."""
+    mm, values, _, _ = evaluate_indices(Posterior(data, theta), grid, want_eti=False)
+    return TdiCurve(grid=mm.grid, values=values, anchor=float(anchor))
+
+
+def local_eti_curve(data: Dataset, theta: Hyperparams, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Local ETI over a grid; returns (grid, rates)."""
+    mm, _, rates, _ = evaluate_indices(Posterior(data, theta), grid)
+    return mm.grid, rates
+
+
 def eti(data: Dataset, theta: Hyperparams, interval, n_quad: int = 512) -> float:
     """Expected number of trend sign changes on [a, b] by Simpson quadrature."""
     _, _, _, (value,) = evaluate_indices(Posterior(data, theta), [], [interval], n_quad=n_quad)
@@ -208,32 +180,6 @@ def count_crossings(df_path, grid=None) -> CrossingProcess:
     flips = np.zeros(values.size, dtype=int)
     flips[signed[1:][positive[1:] != positive[:-1]]] = 1
     return CrossingProcess(grid=grid, counts=np.cumsum(flips))
-
-
-def crossing_prob_mc(
-    data: Dataset,
-    theta: Hyperparams,
-    interval,
-    k: int,
-    grid_density: int = 200,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of P(at least one trend sign change on [a, b]).
-
-    A sampled derivative path on the grid has changed sign iff it takes both
-    positive and negative values, which is `count_crossings(path).total > 0`.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a <= b:
-        raise ValueError(f"interval must satisfy a <= b, got ({a}, {b})")
-    require_assumptions(theta.kernel, require_eti=True)
-    if a == b or k == 0:
-        return 0.0
-    grid = np.linspace(a, b, max(int(grid_density), 2))
-    jp = joint_posterior(data, theta, grid, blocks=("df",))
-    paths = sample_paths(jp, k, seed)
-    crossed = np.count_nonzero((paths > 0.0).any(axis=1) & (paths < 0.0).any(axis=1))
-    return crossed / k
 
 
 def crosspoint(curve: TdiCurve, window, threshold: float = 0.5):

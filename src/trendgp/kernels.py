@@ -340,9 +340,3 @@ def validate_assumptions(spec: KernelSpec, require_eti: bool = False) -> Assumpt
             return AssumptionViolation("A4", f"|Cor[df, d2f]| = {abs(cor):g} is degenerate under the prior")
     return None
 
-
-def require_assumptions(spec: KernelSpec, require_eti: bool = False) -> None:
-    """Raise AssumptionError when validate_assumptions reports a violation."""
-    violation = validate_assumptions(spec, require_eti=require_eti)
-    if violation is not None:
-        raise AssumptionError(str(violation))

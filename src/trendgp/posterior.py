@@ -351,11 +351,6 @@ def prior_joint(theta: Hyperparams, grid, blocks=None) -> JointPosterior:
     return Posterior(Dataset(ts=np.empty(0), ys=np.empty(0)), theta).joint(grid, blocks)
 
 
-def joint_posterior(data: Dataset, theta: Hyperparams, grid, blocks=None) -> JointPosterior:
-    """Posterior of (f, df, d2f) given the data; prior when the data are empty."""
-    return Posterior(data, theta).joint(grid, blocks)
-
-
 def marginal_moments(data: Dataset, theta: Hyperparams, grid, need_d2f: bool = False) -> MarginalMoments:
     """Pointwise posterior means/variances of f, df (and optionally d2f).
 
@@ -363,12 +358,6 @@ def marginal_moments(data: Dataset, theta: Hyperparams, grid, need_d2f: bool = F
     trend indices need, at O(n^2) per grid point.
     """
     return Posterior(data, theta).marginal(grid, need_d2f=need_d2f)
-
-
-def predictive(data: Dataset, theta: Hyperparams, t_star: float) -> tuple[float, float]:
-    """Mean and variance of a new observation at t_star."""
-    mm = marginal_moments(data, theta, [float(t_star)])
-    return float(mm.mu_f[0]), float(mm.var_f[0] + theta.sigma**2)
 
 
 def _factor_cov(cov: np.ndarray) -> np.ndarray:
@@ -412,9 +401,3 @@ class PathSampler:
         z = np.random.default_rng(seed).standard_normal((k, self.mu.size))
         return self.mu[None, :] + z @ self.factor.T
 
-
-def sample_paths(jp: JointPosterior, k: int, seed: int) -> np.ndarray:
-    """Draw k independent joint paths from N(mu, sigma_mat); deterministic per seed."""
-    if k == 0:  # nothing to draw, so nothing to factor
-        return np.empty((0, jp.mu.size))
-    return PathSampler.of(jp).draw(k, seed)

@@ -93,6 +93,8 @@ class AnalysisConfig:
         parsed = self.parsed_model()
         if self.estimator not in ("ml", "bayes"):
             raise ConfigError(f"estimator must be 'ml' or 'bayes', got {self.estimator!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         # R-hat's draws per chain come after a warmup of half the iterations
         if self.estimator == "bayes" and (self.chains < RHAT_MIN_CHAINS
                                           or self.iters - self.iters // 2 < RHAT_MIN_KEPT):
@@ -123,9 +125,23 @@ class AnalysisConfig:
             if not lo - 1e-12 <= a <= b <= hi + 1e-12:
                 raise ConfigError(f"crosspoint window [{a}, {b}] must lie within the data span [{lo}, {hi}]")
         if parsed is None:
-            self.candidate_grid()
+            grid = self.candidate_grid()
+            spaces = [_ModelSpace(d, f) for d in grid.degrees for f in grid.families]
         else:
             require_order(parsed[1], 2 if self.compute_eti else 1)
+            spaces = [_ModelSpace(*parsed)]
+        # each prior override is a JSON object named after a parameter of the model (any candidate)
+        names = list(dict.fromkeys(name for space in spaces for name in space.names))
+        if not isinstance(self.prior_overrides, dict):
+            raise ConfigError("prior overrides must be a JSON object of {name: {\"dist\": ...}} entries, "
+                              f"got {type(self.prior_overrides).__name__}")
+        for name, spec in self.prior_overrides.items():
+            if not isinstance(spec, dict):
+                raise ConfigError(f"prior override for {name!r} must be a JSON object, got {spec!r}")
+            if name not in names:
+                model = "any candidate model" if parsed is None else f"model {self.model!r}"
+                raise ConfigError(f"prior override {name!r} is not a parameter of {model}; "
+                                  f"expected one of {names}")
 
     def candidate_grid(self) -> CandidateGrid:
         """The auto-selection grid less the families that cannot give the reported indices (A3).

@@ -50,6 +50,8 @@ class Scenario:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"scenario needs n >= 3 observations, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"scenario seed must be a non-negative integer, got {self.seed}")
         if self.sigma < 0:
             raise ValueError(f"scenario noise must be non-negative, got {self.sigma}")
         if self.reps < 1:
@@ -106,11 +108,6 @@ def _draw_fdf(sampler: PathSampler, seed: int) -> tuple[np.ndarray, np.ndarray]:
     draw = sampler.draw(1, seed)[0]
     p = draw.size // 2
     return draw[:p], draw[p:]
-
-
-def simulate_gp(theta: Hyperparams, grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One joint draw of (f, df) from the prior on the given grid."""
-    return _draw_fdf(_fdf_sampler(theta, grid), seed)
 
 
 @dataclass(frozen=True)

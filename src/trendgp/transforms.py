@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit as _logit
 
-from .posterior import Dataset, Hyperparams, JointPosterior, joint_posterior, sample_paths
-from .indices import tdi
+from .posterior import Dataset, JointPosterior, PathSampler
 
 TRANSFORM_KINDS = ("identity", "log", "logit", "arcsine_sqrt")
 
@@ -67,17 +66,6 @@ class TransformSpec:
             return expit(z)
         return np.sin(z) ** 2
 
-    def inverse_deriv(self, z):
-        """(g^{-1})'(z) on the whole line; negative where sin^2 decreases (arcsine_sqrt)."""
-        z = np.asarray(z, dtype=float)
-        if self.kind == "identity":
-            return np.ones_like(z)
-        if self.kind == "log":
-            return np.exp(z)
-        if self.kind == "logit":
-            return expit(z) * expit(-z)
-        return np.sin(2.0 * z)
-
 
 def transform_dataset(spec: TransformSpec, data: Dataset) -> Dataset:
     """Apply g to the outcomes; times are untouched.
@@ -97,35 +85,6 @@ def transform_dataset(spec: TransformSpec, data: Dataset) -> Dataset:
     return Dataset(ts=data.ts, ys=spec.forward(data.ys))
 
 
-def tdi_original_scale(
-    data: Dataset,
-    spec: TransformSpec,
-    theta: Hyperparams,
-    t: float,
-    delta: float = 0.0,
-    method: str = "exact",
-    k: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """TDI of the original-scale outcome under a model fitted on g(Y).
-
-    The exact pathway is the transformed-scale TDI, since sign(d/dt g^{-1}(h))
-    = sign(dh) where g^{-1} increases: for arcsine_sqrt, only while h stays in
-    [0, pi/2] (ROADMAP item 3).  The Monte-Carlo pathway samples (h, dh) pairs
-    and evaluates the original-scale trend (g^{-1})'(h) * dh, to check that.
-    """
-    tdata = transform_dataset(spec, data)
-    if method == "exact":
-        return tdi(tdata, theta, t, delta)
-    if method != "mc":
-        raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    jp = joint_posterior(tdata, theta, [float(t) + float(delta)], blocks=("f", "df"))
-    draws = sample_paths(jp, k, seed)
-    h, dh = draws[:, 0], draws[:, 1]
-    slope = spec.inverse_deriv(h) * dh  # d/dt g^{-1}(h) by the chain rule
-    return float(np.mean(slope > 0.0))
-
-
 def back_transform_summary(
     spec: TransformSpec,
     jp: JointPosterior,
@@ -141,6 +100,6 @@ def back_transform_summary(
         raise ValueError("joint posterior must contain the f block")
     if k < 1:
         raise ValueError("k must be >= 1")
-    draws = sample_paths(jp, k, seed)
+    draws = PathSampler.of(jp).draw(k, seed)
     f_draws = draws[:, : jp.p]
     return np.quantile(spec.inverse(f_draws), list(taus), axis=0)

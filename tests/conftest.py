@@ -3,20 +3,25 @@
 The finite-difference oracle runs in high-precision arithmetic so that the
 h^2 truncation error of the central stencils is the only error term; the
 conditioning oracle builds the full dense joint normal and conditions by a
-generic solve, independent of the production Cholesky path.
+generic solve, independent of the production Cholesky path.  The sampling
+oracles draw joint paths from `Posterior.joint` and check the closed-form
+indices by Monte Carlo: the trend's sign (`tdi`, `tdi_original_scale`) and
+its sign changes (`crossing_prob_mc`).
 """
 
 import csv
-import math
 import os
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from trendgp.dataio import iso_to_fractional_year
-from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, Hyperparams, prior_joint, sample_paths
+from trendgp.indices import _gauss_upper
+from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval, validate_assumptions
+from trendgp.posterior import Dataset, Hyperparams, JointPosterior, PathSampler, Posterior, prior_joint
+from trendgp.transforms import TransformSpec, transform_dataset
 
 mp.mp.dps = 50
 
@@ -104,6 +109,102 @@ def schur_oracle(data: Dataset, theta: Hyperparams, grid, orders=(0, 1, 2)):
     mu = prior_mu + cross @ solve(obs_cov, resid)
     cov = prior_cov - cross @ solve(obs_cov, cross.T)
     return mu, cov
+
+
+def joint_posterior(data: Dataset, theta: Hyperparams, grid, blocks=None) -> JointPosterior:
+    """Posterior of (f, df, d2f) given the data; prior when the data are empty."""
+    return Posterior(data, theta).joint(grid, blocks)
+
+
+def sample_paths(jp: JointPosterior, k: int, seed: int) -> np.ndarray:
+    """Draw k independent joint paths from N(mu, sigma_mat); deterministic per seed."""
+    if k == 0:  # nothing to draw, so nothing to factor
+        return np.empty((0, jp.mu.size))
+    return PathSampler.of(jp).draw(k, seed)
+
+
+def simulate_gp(theta: Hyperparams, grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One joint draw of (f, df) from the prior on the given grid."""
+    draw = sample_paths(prior_joint(theta, grid, blocks=("f", "df")), 1, seed)[0]
+    p = draw.size // 2
+    return draw[:p], draw[p:]
+
+
+def tdi(data: Dataset, theta: Hyperparams, t: float, delta: float = 0.0, threshold: float = 0.0) -> float:
+    """Probability that the latent trend at t + delta exceeds `threshold`.
+
+    That is the TDI with the trend's posterior mean shifted down by the threshold.
+    """
+    mm = Posterior(data, theta).marginal([float(t) + float(delta)])
+    return float(_gauss_upper(mm.mu_df - threshold, mm.var_df)[0])
+
+
+def inverse_deriv(spec: TransformSpec, z):
+    """(g^{-1})'(z) on the whole line; negative where sin^2 decreases (arcsine_sqrt)."""
+    z = np.asarray(z, dtype=float)
+    if spec.kind == "identity":
+        return np.ones_like(z)
+    if spec.kind == "log":
+        return np.exp(z)
+    if spec.kind == "logit":
+        return expit(z) * expit(-z)
+    return np.sin(2.0 * z)
+
+
+def tdi_original_scale(
+    data: Dataset,
+    spec: TransformSpec,
+    theta: Hyperparams,
+    t: float,
+    delta: float = 0.0,
+    method: str = "exact",
+    k: int = 100_000,
+    seed: int = 0,
+) -> float:
+    """TDI of the original-scale outcome under a model fitted on g(Y).
+
+    The exact pathway is the transformed-scale TDI, since sign(d/dt g^{-1}(h))
+    = sign(dh) where g^{-1} increases: for arcsine_sqrt, only while h stays in
+    [0, pi/2] (ROADMAP item 3).  The Monte-Carlo pathway samples (h, dh) pairs
+    and evaluates the original-scale trend (g^{-1})'(h) * dh, to check that.
+    """
+    tdata = transform_dataset(spec, data)
+    if method == "exact":
+        return tdi(tdata, theta, t, delta)
+    if method != "mc":
+        raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
+    jp = joint_posterior(tdata, theta, [float(t) + float(delta)], blocks=("f", "df"))
+    draws = sample_paths(jp, k, seed)
+    h, dh = draws[:, 0], draws[:, 1]
+    slope = inverse_deriv(spec, h) * dh  # d/dt g^{-1}(h) by the chain rule
+    return float(np.mean(slope > 0.0))
+
+
+def crossing_prob_mc(
+    data: Dataset,
+    theta: Hyperparams,
+    interval,
+    k: int,
+    grid_density: int = 200,
+    seed: int = 0,
+) -> float:
+    """Monte-Carlo estimate of P(at least one trend sign change on [a, b]).
+
+    A sampled derivative path on the grid has changed sign iff it takes both
+    positive and negative values, which is `count_crossings(path).total > 0`.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not a <= b:
+        raise ValueError(f"interval must satisfy a <= b, got ({a}, {b})")
+    violation = validate_assumptions(theta.kernel, require_eti=True)
+    if violation is not None:
+        raise AssumptionError(str(violation))
+    if a == b or k == 0:
+        return 0.0
+    grid = np.linspace(a, b, max(int(grid_density), 2))
+    paths = sample_paths(joint_posterior(data, theta, grid, blocks=("df",)), k, seed)
+    crossed = np.count_nonzero((paths > 0.0).any(axis=1) & (paths < 0.0).any(axis=1))
+    return crossed / k
 
 
 def random_kernel(rng, families=("SE", "RQ", "M52"), alpha_range=(0.3, 3.0), rho_range=(0.2, 2.0)):

@@ -21,23 +21,27 @@ from trendgp.estimation import (
     PriorSpec,
     fit_bayes,
     fit_ml,
-    marginal_loglik,
     rhat,
 )
-from trendgp.indices import crossing_prob_mc, eti, local_eti, tdi
+from trendgp.indices import _local_eti_from_moments, eti
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import (
-    Dataset,
-    Hyperparams,
-    joint_posterior,
-    prior_joint,
-    sample_paths,
-)
+from trendgp.posterior import Dataset, Hyperparams, Posterior, prior_joint
 from trendgp.selection import CandidateGrid, loo_mspe, select_model
 from trendgp.simulation import Scenario, run_study
-from trendgp.transforms import TransformSpec, tdi_original_scale, transform_dataset
+from trendgp.transforms import TransformSpec, transform_dataset
 
-from conftest import count_sign_flips, eti_instance, fd_rel_err, random_instance, schur_oracle
+from conftest import (
+    count_sign_flips,
+    crossing_prob_mc,
+    eti_instance,
+    fd_rel_err,
+    joint_posterior,
+    random_instance,
+    sample_paths,
+    schur_oracle,
+    tdi,
+    tdi_original_scale,
+)
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -116,12 +120,12 @@ def test_c3_analytic_prior_crossing_rates():
         t_probe = float(rng.uniform(-5, 5))
 
         se = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", alpha, rho), 0.1)
-        rate_se, _ = local_eti(EMPTY, se, t_probe)
+        rate_se = _local_eti_from_moments(Posterior(EMPTY, se).marginal([t_probe], True))[0][0]
         want_se = math.sqrt(3.0) / (math.pi * rho)
         err_se = abs(rate_se - want_se) / want_se
 
         rq = Hyperparams(MeanSpec((0.0,)), KernelSpec("RQ", alpha, rho, nu), 0.1)
-        rate_rq, _ = local_eti(EMPTY, rq, t_probe)
+        rate_rq = _local_eti_from_moments(Posterior(EMPTY, rq).marginal([t_probe], True))[0][0]
         want_rq = math.sqrt(3.0) * math.sqrt(1.0 + 1.0 / nu) / (math.pi * rho)
         err_rq = abs(rate_rq - want_rq) / want_rq
 
@@ -211,7 +215,7 @@ def test_c7_marginal_likelihood_and_fit_invariant():
         K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(n)
         mu = np.broadcast_to(np.asarray(mean_eval(theta.mean, 0, data.ts), dtype=float), (n,))
         want = float(multivariate_normal(mean=mu, cov=K).logpdf(data.ys))
-        got = marginal_loglik(data, theta)
+        got = Posterior(data, theta).loglik
         err = abs(got - want) / max(1.0, abs(want))
         worst = max(worst, err)
         assert err < 1e-8

@@ -378,7 +378,9 @@ class TestAutoSelection:
         if case == "rq-winner-refit-as-se":
             # very smooth data: the RQ shape parameter diverges to the SE limit
             from trendgp.kernels import KernelSpec, MeanSpec
-            from trendgp.posterior import Hyperparams, prior_joint, sample_paths
+            from trendgp.posterior import Hyperparams, prior_joint
+
+            from conftest import sample_paths
 
             ts = np.linspace(0, 1, 30)
             truth = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 0.45), 0.01)
@@ -521,6 +523,57 @@ class TestErrorExitCodes:
         code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE",
                         "--restarts", "2", "--grid", "20", "--no-eti", "--crosspoint-window=-1e-13:2"])
         assert code == 0
+
+    @pytest.mark.parametrize("priors, model, reason", [
+        ([{"dist": "half_normal", "loc": 0, "scale": 5}], ["--model", "0:SE"], "must be a JSON object"),
+        ({"rho": 3}, ["--model", "0:SE"], "prior override for 'rho' must be a JSON object"),
+        ({"rh0": {"dist": "half_normal", "loc": 0, "scale": 5}}, ["--model", "0:SE"],
+         "'rh0' is not a parameter of model '0:SE'"),
+        ({"nu": {"dist": "half_t", "loc": 1, "scale": 3, "df": 3}}, ["--model", "auto", "--families", "SE,M52"],
+         "'nu' is not a parameter of any candidate model"),
+    ], ids=["file-not-an-object", "entry-not-an-object", "misspelled-name", "no-candidate-has-it"])
+    def test_bad_prior_overrides_exit_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch,
+                                                       priors, model, reason):
+        from trendgp import reporting, selection
+
+        for module in (reporting, selection):
+            monkeypatch.setattr(module, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps(priors))
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), *model, "--estimator", "bayes",
+                        "--priors", str(path)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "parse"
+        assert reason in payload["reason"]
+
+    def test_prior_overrides_may_name_any_candidates_parameter(self, series_csv):
+        from trendgp.reporting import AnalysisConfig, ConfigError
+
+        data, _ = read_timeseries(series_csv)
+        nu = {"nu": {"dist": "half_t", "loc": 1, "scale": 3, "df": 3}}
+        AnalysisConfig(model="auto", candidate_families=("SE", "RQ"), prior_overrides=nu).validate(data)
+        AnalysisConfig(model="0:RQ", prior_overrides=nu).validate(data)
+        beta2 = {"beta2": {"dist": "t", "loc": 0, "scale": 1, "df": 3}}
+        AnalysisConfig(model="2:SE", prior_overrides=beta2).validate(data)
+        with pytest.raises(ConfigError, match="'beta2' is not a parameter"):
+            AnalysisConfig(model="1:SE", prior_overrides=beta2).validate(data)
+
+    @pytest.mark.parametrize("command", [["fit", "--model", "auto"], ["fit", "--model", "0:SE"], ["simulate"]],
+                             ids=["fit-auto", "fit-fixed", "simulate"])
+    def test_negative_seed_exits_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch, command):
+        from trendgp import reporting, selection, simulation
+
+        for module in (reporting, selection, simulation):
+            monkeypatch.setattr(module, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+        if command[0] == "fit":
+            args = ["fit", series_csv, "--out", str(tmp_path / "x"), *command[1:]]
+        else:
+            args = ["simulate", "--n", "10", "--reps", "1"]
+        code, _ = _run([*args, "--seed", "-1"])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "seed must be a non-negative integer, got -1" in payload["reason"]
 
     def test_network_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRENDGP_COVID_URL", "http://127.0.0.1:9/nothing.csv")

@@ -22,15 +22,14 @@ from trendgp.estimation import (
     fit_bayes,
     fit_ml,
     index_posterior,
-    marginal_loglik,
     rhat,
 )
-from trendgp.indices import eti, evaluate_indices, local_eti, tdi
+from trendgp.indices import _local_eti_from_moments, eti, evaluate_indices
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec, kernel_gram, mean_eval
-from trendgp.posterior import Dataset, Hyperparams, Posterior, marginal_moments, prior_joint, sample_paths
+from trendgp.posterior import Dataset, Hyperparams, Posterior, marginal_moments, prior_joint
 from trendgp.reporting import _quantile_cols
 
-from conftest import random_instance
+from conftest import random_instance, sample_paths, tdi
 
 
 def _theta(family="SE", alpha=1.0, rho=1.0, nu=None, sigma=0.2, betas=(0.0,)):
@@ -49,7 +48,7 @@ class TestMarginalLoglik:
         data = Dataset(np.array([0.0]), np.array([5.0]))
         # mean matches the observation and C + sigma^2 = 1
         theta = _theta(alpha=math.sqrt(0.5), sigma=math.sqrt(0.5), betas=(5.0,))
-        assert marginal_loglik(data, theta) == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
+        assert Posterior(data, theta).loglik == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
 
     def test_negligible_signal_reduces_to_iid_normals(self):
         ts = np.linspace(0, 1, 6)
@@ -57,7 +56,7 @@ class TestMarginalLoglik:
         sigma = 0.7
         theta = _theta(alpha=1e-150, sigma=sigma, betas=(0.05,))
         want = float(np.sum(norm.logpdf(ys, loc=0.05, scale=sigma)))
-        assert marginal_loglik(Dataset(ts, ys), theta) == pytest.approx(want, rel=1e-9)
+        assert Posterior(Dataset(ts, ys), theta).loglik == pytest.approx(want, rel=1e-9)
 
     def test_matches_dense_density_oracle(self, rng):
         for _ in range(10):
@@ -65,7 +64,7 @@ class TestMarginalLoglik:
             K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(5)
             mu = np.broadcast_to(mean_eval(theta.mean, 0, data.ts), (5,))
             want = multivariate_normal(mean=mu, cov=K).logpdf(data.ys)
-            got = marginal_loglik(data, theta)
+            got = Posterior(data, theta).loglik
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
@@ -86,7 +85,7 @@ class TestFitMl:
         fit = fit_ml(data, 0, "SE", FitOptions(restarts=6, seed=1))
         assert fit.start_logliks
         assert all(fit.loglik >= s - 1e-9 for s in fit.start_logliks)
-        assert marginal_loglik(data, fit.theta) == pytest.approx(fit.loglik, rel=1e-9)
+        assert Posterior(data, fit.theta).loglik == pytest.approx(fit.loglik, rel=1e-9)
 
     def test_translation_invariance(self, rng):
         data, _ = _simulated(rng, n=40)
@@ -357,7 +356,8 @@ class TestIndexPosterior:
                               intervals=(interval,), n_quad=64)
         assert idx.skipped_fraction == 0.0 and idx.n_used == 4
         want_tdi = [tdi(data, plug, float(t)) for t in grid]
-        want_local = [local_eti(data, plug, float(t))[0] for t in grid]
+        want_local = [_local_eti_from_moments(Posterior(data, plug).marginal([float(t)], True))[0][0]
+                      for t in grid]
         want_eti = eti(data, plug, interval, n_quad=64)
         for row_tdi, row_local, row_eti in zip(idx.tdi, idx.local_eti, idx.eti, strict=True):
             assert row_tdi == pytest.approx(want_tdi, rel=1e-9)

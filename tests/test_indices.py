@@ -10,20 +10,26 @@ from trendgp import simulation
 from trendgp.estimation import FitOptions, fit_ml
 from trendgp.indices import (
     TdiCurve,
+    _local_eti_from_moments,
     count_crossings,
-    crossing_prob_mc,
     crosspoint,
     eti,
-    local_eti,
     local_eti_curve,
-    tdi,
     tdi_curve,
 )
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
-from trendgp.posterior import Dataset, Hyperparams, joint_posterior, sample_paths
+from trendgp.posterior import Dataset, Hyperparams, Posterior
 from trendgp.reporting import AnalysisConfig, run_fit
 
-from conftest import count_sign_flips, eti_instance, random_instance
+from conftest import (
+    count_sign_flips,
+    crossing_prob_mc,
+    eti_instance,
+    joint_posterior,
+    random_instance,
+    sample_paths,
+    tdi,
+)
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -102,33 +108,38 @@ class TestTdiCurve:
             TdiCurve(grid=np.array([0.0, 1.0]), values=np.array([0.5, 1.2]), anchor=1.0)
 
 
+def _local_eti_at(data, theta, t):
+    """(rate, lam, omega, zeta) at time t, each an array of one point, on the product path."""
+    return _local_eti_from_moments(Posterior(data, theta).marginal([t], True))
+
+
 class TestLocalEti:
     def test_prior_rate_se(self):
         for rho in (0.2, 0.7, 3.1):
-            rate, terms = local_eti(EMPTY, _theta(alpha=1.7, rho=rho), 0.5)
-            assert rate == pytest.approx(math.sqrt(3) / (math.pi * rho), rel=1e-12)
-            assert terms.omega == 0.0
+            rate, _, omega, _ = _local_eti_at(EMPTY, _theta(alpha=1.7, rho=rho), 0.5)
+            assert rate[0] == pytest.approx(math.sqrt(3) / (math.pi * rho), rel=1e-12)
+            assert omega[0] == 0.0
 
     def test_prior_rate_rq(self):
         for rho, nu in ((0.5, 0.8), (1.4, 3.0)):
-            rate, _ = local_eti(EMPTY, _theta(family="RQ", rho=rho, nu=nu), 0.2)
+            rate = _local_eti_at(EMPTY, _theta(family="RQ", rho=rho, nu=nu), 0.2)[0][0]
             want = math.sqrt(3) * math.sqrt(1 + 1 / nu) / (math.pi * rho)
             assert rate == pytest.approx(want, rel=1e-12)
 
     def test_prior_rate_constant_in_time(self):
         theta = _theta(alpha=2.0, rho=0.6)
-        rates = [local_eti(EMPTY, theta, t)[0] for t in (-3.0, 0.0, 1.7, 10.0)]
+        rates = [_local_eti_at(EMPTY, theta, t)[0][0] for t in (-3.0, 0.0, 1.7, 10.0)]
         assert np.allclose(rates, rates[0], rtol=1e-12)
 
     def test_m32_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
-            local_eti(EMPTY, _theta(family="M32"), 0.0)
+            _local_eti_at(EMPTY, _theta(family="M32"), 0.0)
 
     def test_posterior_rate_matches_crossing_oracle(self, rng):
         data, theta = random_instance(rng, n=8, families=("SE",))
         t0 = 0.5 * (data.ts[0] + data.ts[-1])
         w = 0.05 * theta.kernel.rho
-        rate, _ = local_eti(data, theta, t0)
+        rate = _local_eti_at(data, theta, t0)[0][0]
         grid = np.linspace(t0 - w, t0 + w, 9)
         jp = joint_posterior(data, theta, grid, blocks=("df",))
         flips = count_sign_flips(sample_paths(jp, 20_000, seed=3))
@@ -137,9 +148,9 @@ class TestLocalEti:
 
     def test_scale_equivariance(self):
         # stretching time by c divides the prior rate by c
-        base, _ = local_eti(EMPTY, _theta(rho=0.5), 0.0)
+        base = _local_eti_at(EMPTY, _theta(rho=0.5), 0.0)[0][0]
         for c in (2.0, 10.0):
-            scaled, _ = local_eti(EMPTY, _theta(rho=0.5 * c), 0.0)
+            scaled = _local_eti_at(EMPTY, _theta(rho=0.5 * c), 0.0)[0][0]
             assert scaled == pytest.approx(base / c, rel=1e-12)
 
 
@@ -353,7 +364,7 @@ class TestLocalEtiCurveShape:
         grid = np.linspace(data.ts[0], data.ts[-1], 5)
         _, rates = local_eti_curve(data, theta, grid)
         for i, t in enumerate(grid):
-            assert rates[i] == pytest.approx(local_eti(data, theta, float(t))[0], rel=1e-9)
+            assert rates[i] == pytest.approx(_local_eti_at(data, theta, float(t))[0][0], rel=1e-9)
 
 
 @st.composite

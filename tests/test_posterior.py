@@ -9,18 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from trendgp.indices import tdi_curve
 from trendgp.kernels import AssumptionError, KernelSpec, MeanSpec
-from trendgp.posterior import (
-    Dataset,
-    Hyperparams,
-    Posterior,
-    joint_posterior,
-    marginal_moments,
-    predictive,
-    prior_joint,
-    sample_paths,
-)
+from trendgp.posterior import Dataset, Hyperparams, Posterior, marginal_moments, prior_joint
 
-from conftest import covid_log_series, kernel_mp, random_instance, schur_oracle
+from conftest import covid_log_series, joint_posterior, kernel_mp, random_instance, sample_paths, schur_oracle
 
 
 def _theta(family="SE", alpha=1.0, rho=1.0, nu=None, sigma=0.2, betas=(0.0,)):
@@ -167,26 +158,22 @@ class TestJointPosterior:
 
 
 class TestPredictive:
-    def test_noise_free_variance_equals_posterior_f(self):
-        ts = np.array([0.0, 1.0, 2.0])
-        data = Dataset(ts, np.array([0.1, 0.4, 0.2]))
-        theta = _theta(rho=0.9, sigma=0.0)
-        _, var = predictive(data, theta, 1.3)
-        mm = marginal_moments(data, theta, [1.3])
-        assert var == pytest.approx(mm.var_f[0], rel=1e-12)
+    """A new observation's moments: the posterior f moments plus the noise variance."""
 
     def test_far_extrapolation_returns_to_prior(self):
         ts = np.linspace(0, 1, 5)
         data = Dataset(ts, np.ones(5))
         theta = _theta(alpha=1.5, rho=0.2, sigma=0.3, betas=(0.25,))
-        mean, var = predictive(data, theta, 50.0)
+        mm = Posterior(data, theta).marginal([50.0])
+        mean, var = mm.mu_f[0], mm.var_f[0] + theta.sigma**2
         assert mean == pytest.approx(0.25, abs=1e-9)
         assert var == pytest.approx(1.5**2 + 0.3**2, rel=1e-9)
 
     def test_matches_oracle(self, rng):
         data, theta = random_instance(rng)
         t_star = float(rng.uniform(data.ts[0], data.ts[-1]))
-        mean, var = predictive(data, theta, t_star)
+        mm = Posterior(data, theta).marginal([t_star])
+        mean, var = mm.mu_f[0], mm.var_f[0] + theta.sigma**2
         mu_o, cov_o = schur_oracle(data, theta, [t_star], orders=(0,))
         assert mean == pytest.approx(mu_o[0], abs=1e-10 * max(1, abs(mu_o[0])))
         assert var == pytest.approx(cov_o[0, 0] + theta.sigma**2, rel=1e-9)

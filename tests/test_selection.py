@@ -196,7 +196,9 @@ class TestSelectModel:
         # very smooth data drives the RQ shape parameter to the SE limit
         ts = np.linspace(0, 1, 30)
         truth = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 0.45), 0.01)
-        from trendgp.posterior import prior_joint, sample_paths
+        from trendgp.posterior import prior_joint
+
+        from conftest import sample_paths
 
         f = sample_paths(prior_joint(truth, ts, blocks=("f",)), 1, seed=14)[0]
         data = Dataset(ts, f + rng.normal(0, 0.01, 30))

@@ -16,9 +16,10 @@ from trendgp.simulation import (
     naive_sign_changes,
     paper_truth_kernel,
     run_study,
-    simulate_gp,
     squared_l2,
 )
+
+from conftest import simulate_gp
 
 
 def _theta(rho=0.3):
