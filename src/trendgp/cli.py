@@ -61,12 +61,13 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--anchor", type=float, default=None)
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--iters", type=int, default=25_000)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=16, help="starts of each full-data ML fit, the default one "
+                   "included; --model auto's fold refits always use two fixed starts")
     p.add_argument("--no-eti", action="store_true", help="skip ETI outputs (required for M32)")
     p.add_argument("--forecast", action="store_true",
                    help="allow intervals/anchor outside the data span")
     p.add_argument("--crosspoint-window", type=_parse_interval, default=None)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=0.5, help="TDI level in [0, 1] for the crosspoint")
     p.add_argument("--selection-scheme", default="loo", choices=["loo", "osa"])
     p.add_argument("--degrees", default="0,1,2",
                    help="mean degrees for --model auto, e.g. '0,1'")
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--grid", type=int, default=201)
-    p_sim.add_argument("--restarts", type=int, default=8)
+    p_sim.add_argument("--restarts", type=int, default=8, help="starts of each replicate's ML fit, default included")
     p_sim.add_argument("--out", default=None, help="output CSV (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 

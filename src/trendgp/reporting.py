@@ -95,6 +95,10 @@ class AnalysisConfig:
             raise ConfigError(f"estimator must be 'ml' or 'bayes', got {self.estimator!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.restarts < 1:
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         # R-hat's draws per chain come after a warmup of half the iterations
         if self.estimator == "bayes" and (self.chains < RHAT_MIN_CHAINS
                                           or self.iters - self.iters // 2 < RHAT_MIN_KEPT):

@@ -96,31 +96,33 @@ def _folds(n: int, scheme: str, min_train: int = 3) -> list[tuple[np.ndarray, in
     return [(np.arange(k), k) for k in range(min_train, n)]
 
 
-def _fold_error(data: Dataset, degree: int, family: str, fold_opts: FitOptions,
-                train: np.ndarray, i: int):
+def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: int):
     """Squared error of predicting row i from the ML refit on the training
     rows, or the FitError or ValueError of that refit, returned so that one
-    pool can carry the folds of several candidates."""
+    pool can carry the folds of several candidates.  The refit has the model
+    of the full-data optimum and two fixed starts, the default one and that
+    optimum, so it draws no random number."""
     head = Dataset(data.ts[train], data.ys[train])
+    two_starts = FitOptions(restarts=2, warm_theta=full_theta)
     try:
-        theta = fit_ml(head, degree, family, fold_opts).theta
+        theta = fit_ml(head, full_theta.mean.degree, full_theta.kernel.family, two_starts).theta
         pred = marginal_moments(head, theta, [data.ts[i]]).mu_f[0]
     except (FitError, ValueError) as exc:
         return exc
     return (data.ys[i] - pred) ** 2
 
 
-def _cv_scores(data: Dataset, folds: list, jobs: list) -> list:
-    """Mean squared refit fold error per (degree, family, fold_opts) job, or
-    the error of its first failed fold.  Every (job, fold) pair goes through
-    one `fork_map`."""
+def _cv_scores(data: Dataset, folds: list, full_thetas: list) -> list:
+    """Mean squared refit fold error per candidate, given by its full-data
+    optimum, or the error of its first failed fold.  Every (candidate, fold)
+    pair goes through one `fork_map`."""
     m = len(folds)
-    errors = fork_map(_fold_error, [(data, *job, train, i) for job in jobs for train, i in folds])
+    errors = fork_map(_fold_error, [(data, theta, train, i) for theta in full_thetas for train, i in folds])
     scores = []
-    for j in range(len(jobs)):
-        job_errors = errors[j * m : (j + 1) * m]
-        failed = next((e for e in job_errors if isinstance(e, Exception)), None)
-        scores.append(failed if failed is not None else float(np.array(job_errors).mean()))
+    for j in range(0, len(errors), m):
+        fold_errors = errors[j : j + m]
+        failed = next((e for e in fold_errors if isinstance(e, Exception)), None)
+        scores.append(failed if failed is not None else float(np.array(fold_errors).mean()))
     return scores
 
 
@@ -149,19 +151,12 @@ def _fixed_theta_mspe(data: Dataset, theta: Hyperparams, scheme: str, folds: lis
     return float(np.mean(errors**2))
 
 
-def _fold_opts(opts: FitOptions, full: FitResult) -> FitOptions:
-    """Fold refits warm-start from the full-data optimum with a quarter of the restarts."""
-    return replace(opts, warm_theta=full.theta, restarts=max(4, opts.restarts // 4))
-
-
 def _mspe(data: Dataset, scheme: str, folds: list, degree: int, family: str, opts: FitOptions | None,
           fixed_theta: Hyperparams | None) -> float:
     """One candidate's mean squared error over the given folds; raises its first fold error."""
     if fixed_theta is not None:
         return _fixed_theta_mspe(data, fixed_theta, scheme, folds)
-    opts = opts or FitOptions()
-    full = fit_ml(data, degree, family, opts)
-    (score,) = _cv_scores(data, folds, [(degree, full.theta.kernel.family, _fold_opts(opts, full))])
+    (score,) = _cv_scores(data, folds, [fit_ml(data, degree, family, opts).theta])
     if isinstance(score, Exception):
         raise score
     return score
@@ -176,14 +171,14 @@ def loo_mspe(
 ) -> float:
     """Leave-one-out mean squared error of prediction.
 
-    Each fold refits the ML optimum without observation i, warm-started from
-    the full-data fit, and predicts the latent mean at t_i.  The folds run
-    in forked workers (`fork_map`), and a candidate that `select_model`
-    refits gets this score bit for bit.  With `fixed_theta` the given
-    hyper-parameters hold in every fold, and the score follows in closed
-    form from one factor (GPML eq. 5.12), with no fit and no pool; a
-    candidate that `select_model` screens out gets that score at its
-    full-data optimum, bit for bit.
+    Each fold refits the ML optimum without observation i, from the default
+    start and the full-data fit (which `opts` sets), and predicts the latent
+    mean at t_i.  The folds run in forked workers (`fork_map`), and a
+    candidate that `select_model` refits gets this score bit for bit.  With
+    `fixed_theta` the given hyper-parameters hold in every fold, and the
+    score follows in closed form from one factor (GPML eq. 5.12), with no
+    fit and no pool; a candidate that `select_model` screens out gets that
+    score at its full-data optimum, bit for bit.
     """
     return _mspe(data, "loo", _folds(data.n, "loo"), degree, family, opts, fixed_theta)
 
@@ -201,8 +196,8 @@ def osa_mspe(
     For each k from min_train to n-1 the model is fit on the first k points
     and predicts point k+1, yielding exactly n - min_train residuals.  Each
     fold's refit sees only its first k points but, as a leave-one-out fold
-    does, warm-starts from the full-data fit, with a quarter of the
-    restarts.  The folds run in forked workers.  With `fixed_theta` the
+    does, starts from the default start and the full-data optimum, which
+    `opts` sets.  The folds run in forked workers.  With `fixed_theta` the
     given hyper-parameters hold in every fold, and the residuals follow in
     closed form from one factor (the prediction-error decomposition), with
     no fit and no pool.  With the default min_train, `select_model` gives a
@@ -220,11 +215,12 @@ def select_model(
 ) -> SelectionResult:
     """Score every candidate and pick the one with the lowest refit MSPE.
 
-    Each candidate is fit on the full data and scored in closed form with
-    that optimum held fixed in every fold.  The leader, the lowest such
-    score, has its folds refit in one `fork_map`.  Every other candidate
-    whose closed-form score is at most the leader's refit score is refit in
-    a second `fork_map`, which runs only if there is one.  The full-data
+    Each candidate is fit on the full data with `opts` and scored in closed
+    form with that optimum held fixed in every fold.  The leader, the
+    lowest such score, has its folds refit in one `fork_map`, each from the
+    default start and the full-data optimum.  Every other candidate whose
+    closed-form score is at most the leader's refit score is refit in a
+    second `fork_map`, which runs only if there is one.  The full-data
     optimum has seen each held-out point, so a closed-form score is
     optimistic: a candidate whose score already exceeds the leader's refit
     score is not expected to win.  It keeps its closed-form score and is
@@ -237,19 +233,16 @@ def select_model(
     ValueError before any fit.
     """
     folds = _folds(data.n, scheme)
-    opts = opts or FitOptions()
     # The full-data fits come first: each decides nu divergence, gives the
-    # candidate's closed-form score and warm-starts its fold refits.
+    # candidate's closed-form score and starts its fold refits.  An RQ fit
+    # whose nu diverged holds the SE refit, whose family the folds refit.
     scores: list[CandidateScore] = []
-    jobs = {}  # position in scores -> that candidate's fold-refit job
     for degree, family in grid.candidates():
         score = CandidateScore(degree, family, None, substituted_to_se=False, failed=False)
         try:
             full = fit_ml(data, degree, family, opts)
             mspe = _fixed_theta_mspe(data, full.theta, scheme, folds)
             score = replace(score, mspe=mspe, substituted_to_se=full.substituted_from == "RQ", fit=full)
-            # an RQ fit whose nu diverged holds the SE refit, whose family the folds refit
-            jobs[len(scores)] = (degree, full.theta.kernel.family, _fold_opts(opts, full))
         except (FitError, FactorizationError, ValueError) as exc:
             score = replace(score, failed=True, error=str(exc))
         scores.append(score)
@@ -258,12 +251,12 @@ def select_model(
         return (s.mspe, len(_ModelSpace(s.degree, s.family).names), _FAMILY_RANK[s.family], s.degree)
 
     def refit(ks: list) -> None:
-        for k, mspe in zip(ks, _cv_scores(data, folds, [jobs[k] for k in ks])):
+        for k, mspe in zip(ks, _cv_scores(data, folds, [scores[k].fit.theta for k in ks])):
             failed = isinstance(mspe, Exception)
             scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None) if failed
                          else replace(scores[k], mspe=mspe))
 
-    rest = sorted(jobs, key=lambda k: sort_key(scores[k]))
+    rest = sorted((k for k, s in enumerate(scores) if not s.failed), key=lambda k: sort_key(scores[k]))
     if rest:
         leader = rest.pop(0)
         refit([leader])

@@ -58,6 +58,8 @@ class Scenario:
             raise ValueError(f"scenario needs at least one replicate, got {self.reps}")
         if self.grid_size < 3:
             raise ValueError(f"grid_size must be >= 3, got {self.grid_size}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -462,6 +463,23 @@ class TestAutoSelection:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["reason"] == reason
 
+    @pytest.mark.parametrize("scheme", ["loo", "osa"])
+    def test_selection_does_not_depend_on_the_seed(self, tmp_path, scheme):
+        # with one restart the full-data fits use the default start alone, and
+        # every fold refit starts from it and the full-data optimum: no run
+        # draws a random number, so the seed changes nothing in the selection
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n" + "".join(f"{i / 11!r},{math.sin(6 * i / 11) + 0.1 * (-1) ** i!r}\n"
+                                           for i in range(12)))
+        selections = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            code, _ = _run(["fit", str(path), "--out", str(out), "--model", "auto", "--families", "SE,M52",
+                            "--restarts", "1", "--selection-scheme", scheme, "--seed", seed, "--grid", "30"])
+            assert code == 0
+            selections.append(json.loads((out / "report.json").read_text())["diagnostics"]["selection"])
+        assert selections[0] == selections[1]
+
     def test_bad_family_in_grid_exits_2(self, tmp_path, capsys):
         ts = np.linspace(0, 4, 8)
         path = tmp_path / "d.csv"
@@ -574,6 +592,44 @@ class TestErrorExitCodes:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "seed must be a non-negative integer, got -1" in payload["reason"]
+
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    @pytest.mark.parametrize("command", [["fit", "--model", "auto"], ["fit", "--model", "0:SE"], ["tdi"],
+                                         ["eti", "--interval", "0:1"], ["simulate"]],
+                             ids=["fit-auto", "fit-fixed", "tdi", "eti", "simulate"])
+    def test_restarts_below_one_exit_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch,
+                                                      command, restarts):
+        self._no_fits(monkeypatch)
+        code, _ = _run([*self._args(command, series_csv, tmp_path), "--restarts", restarts])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert f"restarts must be >= 1, got {restarts}" in payload["reason"]
+
+    @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+    @pytest.mark.parametrize("command", [["fit", "--model", "0:SE"], ["tdi"], ["eti", "--interval", "0:1"]],
+                             ids=["fit", "tdi", "eti"])
+    def test_threshold_outside_the_unit_interval_exits_2_before_fitting(self, series_csv, tmp_path, capsys,
+                                                                       monkeypatch, command, threshold):
+        self._no_fits(monkeypatch)
+        code, _ = _run([*self._args(command, series_csv, tmp_path), "--threshold", threshold])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert f"threshold must lie in [0, 1], got {float(threshold)}" in payload["reason"]
+
+    @staticmethod
+    def _no_fits(monkeypatch):
+        from trendgp import reporting, selection, simulation
+
+        for module in (reporting, selection, simulation):
+            monkeypatch.setattr(module, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+
+    @staticmethod
+    def _args(command, series_csv, tmp_path):
+        if command[0] == "simulate":
+            return ["simulate", "--n", "10", "--reps", "1"]
+        if command[0] == "fit":
+            return ["fit", series_csv, "--out", str(tmp_path / "x"), *command[1:]]
+        return [command[0], series_csv, *command[1:]]
 
     def test_network_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRENDGP_COVID_URL", "http://127.0.0.1:9/nothing.csv")

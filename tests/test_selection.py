@@ -227,6 +227,37 @@ def _ramp(n=9, seed=1):
     return Dataset(ts, 2.0 * ts + 0.3 * np.sin(2.0 * ts) + rng.normal(0.0, 0.1, n))
 
 
+class TestFoldRefitStarts:
+    """Every fold refit starts from the default start and its candidate's
+    full-data optimum, whatever restarts and seed the full-data fits get."""
+
+    @pytest.mark.parametrize("scheme", ["loo", "osa"])
+    def test_every_fold_refit_runs_two_starts(self, monkeypatch, scheme):
+        data = _wiggle()
+        starts = []  # (rows, starts run) of each fit_ml call
+        real = selection.fit_ml
+
+        def fit_ml(d, degree, family, opts=None):
+            fit = real(d, degree, family, opts)
+            starts.append((d.n, len(fit.start_logliks) + fit.n_failed_restarts))
+            return fit
+
+        monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        _cpus(monkeypatch, 1)  # the folds run in this process, where the wrapper sees them
+        opts = FitOptions(restarts=7, seed=4)
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52", "RQ"))
+        result = select_model(data, grid, scheme=scheme, opts=opts)
+        refit = [s for s in result.scores if not (s.failed or s.screened)]
+        mspe = loo_mspe if scheme == "loo" else osa_mspe
+        for s in refit:
+            mspe(data, s.degree, s.family, opts=opts)
+        n_folds = len(selection._folds(data.n, scheme))
+        fold_starts = [k for n, k in starts if n < data.n]
+        assert len(fold_starts) == 2 * len(refit) * n_folds
+        assert set(fold_starts) == {2}
+        assert {k for n, k in starts if n == data.n} == {7}
+
+
 class TestOneFoldPool:
     """Each stage of a selection sends its folds through one fork_map call:
     the leader's folds, then the survivors' folds only when there are any."""
