@@ -62,7 +62,6 @@ from .simulation import (
     Scenario,
     StudyResult,
     integrated_residual,
-    naive_sign_changes,
     paper_truth_kernel,
     run_study,
     squared_l2,

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import urllib.error
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .dataio import DataFormatError, SchemaDriftError, fetch_covid, read_timeser
 from .estimation import FitError, McmcError
 from .kernels import AssumptionError, InadmissibleOrderError
 from .parallel import one_blas_thread
-from .reporting import AnalysisConfig, ConfigError, run_fit
+from .reporting import ESTIMATORS, AnalysisConfig, ConfigError, run_fit
+from .selection import SCHEMES
 from .simulation import Scenario, run_study
+from .transforms import TRANSFORM_KINDS
 
 EXIT_PARSE = 2
 EXIT_FIT = 3
@@ -48,85 +51,81 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--model", default="auto",
-                   help="'auto' (cross-validated selection) or '<degree>:<family>', e.g. 0:RQ")
-    p.add_argument("--estimator", default="ml", choices=["ml", "bayes"])
-    p.add_argument("--grid", type=int, default=500, dest="grid_size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transform", default="identity",
-                   choices=["identity", "log", "logit", "arcsine_sqrt"])
-    p.add_argument("--interval", type=_parse_interval, action="append", default=[],
+def _model_args() -> argparse.ArgumentParser:
+    """The options of fit, tdi and eti: each one's dest is an AnalysisConfig
+    field, and an option not given leaves that field's default."""
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    p.add_argument("--model", help="'auto' (cross-validated selection) or '<degree>:<family>', e.g. 0:RQ")
+    p.add_argument("--estimator", choices=ESTIMATORS)
+    p.add_argument("--grid", type=int, dest="grid_size", metavar="GRID")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--transform", choices=TRANSFORM_KINDS)
+    p.add_argument("--interval", type=_parse_interval, action="append", dest="intervals", metavar="INTERVAL",
                    help="ETI interval a:b (repeatable)")
-    p.add_argument("--anchor", type=float, default=None)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--iters", type=int, default=25_000)
-    p.add_argument("--restarts", type=int, default=16, help="starts of each full-data ML fit, the default one "
+    p.add_argument("--anchor", type=float)
+    p.add_argument("--chains", type=int)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--restarts", type=int, help="starts of each full-data ML fit, the default one "
                    "included; --model auto's fold refits always use two fixed starts")
-    p.add_argument("--no-eti", action="store_true", help="skip ETI outputs (required for M32)")
+    p.add_argument("--no-eti", action="store_false", dest="compute_eti",
+                   help="skip ETI outputs (required for M32)")
     p.add_argument("--forecast", action="store_true",
                    help="allow intervals/anchor outside the data span")
-    p.add_argument("--crosspoint-window", type=_parse_interval, default=None)
-    p.add_argument("--threshold", type=float, default=0.5, help="TDI level in [0, 1] for the crosspoint")
-    p.add_argument("--selection-scheme", default="loo", choices=["loo", "osa"])
-    p.add_argument("--degrees", default="0,1,2",
+    p.add_argument("--crosspoint-window", type=_parse_interval)
+    p.add_argument("--threshold", type=float, help="TDI level in [0, 1] for the crosspoint")
+    p.add_argument("--selection-scheme", choices=SCHEMES)
+    p.add_argument("--degrees", dest="candidate_degrees", metavar="DEGREES",
                    help="mean degrees for --model auto, e.g. '0,1'")
-    p.add_argument("--families", default="SE,RQ,M32,M52",
+    p.add_argument("--families", dest="candidate_families", metavar="FAMILIES",
                    help="kernel families for --model auto, e.g. 'SE,RQ'")
-    p.add_argument("--max-draws", type=int, default=1000,
-                   help="thinning cap for Bayesian curve summaries")
-    p.add_argument("--priors", default=None,
+    p.add_argument("--max-draws", type=int, help="thinning cap for Bayesian curve summaries")
+    p.add_argument("--priors", dest="prior_overrides", metavar="PRIORS",
                    help="JSON file with per-parameter prior overrides")
+    return p
+
+
+def _given(args, cls) -> dict:
+    """The parsed options named after fields of the dataclass `cls`; options not given are absent."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
 
 
 def _config_from_args(args) -> AnalysisConfig:
-    overrides = {}
-    if getattr(args, "priors", None):
+    given = _given(args, AnalysisConfig)
+    if "intervals" in given:
+        given["intervals"] = tuple(given["intervals"])
+    if "candidate_degrees" in given:
+        given["candidate_degrees"] = tuple(int(d) for d in given["candidate_degrees"].split(",") if d != "")
+    if "candidate_families" in given:
+        given["candidate_families"] = tuple(f.strip().upper() for f in given["candidate_families"].split(",")
+                                            if f.strip())
+    path = given.pop("prior_overrides", "")
+    if path:
         try:
-            with open(args.priors, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
+            with open(path, "r", encoding="utf-8") as fh:
+                given["prior_overrides"] = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read prior overrides: {exc}") from None
-    return AnalysisConfig(
-        model=args.model,
-        estimator=args.estimator,
-        grid_size=args.grid_size,
-        intervals=tuple(args.interval),
-        anchor=args.anchor,
-        transform=args.transform,
-        seed=args.seed,
-        chains=args.chains,
-        iters=args.iters,
-        threshold=args.threshold,
-        crosspoint_window=args.crosspoint_window,
-        forecast=args.forecast,
-        compute_eti=not args.no_eti,
-        selection_scheme=args.selection_scheme,
-        candidate_degrees=tuple(int(d) for d in args.degrees.split(",") if d != ""),
-        candidate_families=tuple(f.strip().upper() for f in args.families.split(",") if f.strip()),
-        restarts=args.restarts,
-        max_draws=args.max_draws,
-        prior_overrides=overrides,
-    )
+    return AnalysisConfig(**given)
 
 
-def _load_and_run(args):
-    data, digest = read_timeseries(args.input)
-    config = _config_from_args(args)
-    return data, config, run_fit(data, config, digest)
+def _printed_columns(config: AnalysisConfig, index: str) -> tuple[list, list]:
+    """The header names and report columns that `tdi` and `eti` print for an index."""
+    if config.estimator == "ml":
+        return [index], ["value"]
+    return ["q50", "q2.5", "q97.5"], ["q50", "q2_5", "q97_5"]
 
 
 def cmd_fit(args) -> int:
-    _, _, report = _load_and_run(args)
-    report.write(args.out)
+    data, digest = read_timeseries(args.input)
+    run_fit(data, _config_from_args(args), digest).write(args.out)
     print(f"wrote {args.out}/report.json")
     return 0
 
 
 def cmd_tdi(args) -> int:
-    args.no_eti = True  # the query prints TDI only, so ETI is never computed
     data, digest = read_timeseries(args.input)
-    config = _config_from_args(args)
+    # the query prints TDI only, so ETI is never computed
+    config = replace(_config_from_args(args), compute_eti=False)
     anchor = config.resolved_anchor(data)
     queries = [*(args.at or []), *(anchor + delta for delta in args.delta or [])] or [anchor]
     lo, hi = data.span
@@ -134,47 +133,32 @@ def cmd_tdi(args) -> int:
         if not lo - 1e-12 <= t <= hi + 1e-12:
             raise ConfigError(f"query time {t:g} lies outside the data span [{lo:g}, {hi:g}]")
     payload = run_fit(data, config, digest).payload
-    grid = payload["grid"]
+    names, cols = _printed_columns(config, "tdi")
+    print("\t".join(["t", *names]))
     curve = payload["curves"]["tdi"]
-    print("t\ttdi" if config.estimator == "ml" else "t\tq50\tq2.5\tq97.5")
     for t in queries:
-        if config.estimator == "ml":
-            val = float(np.interp(t, grid, curve["value"]))
-            print(f"{t:g}\t{val:.3f}")
-        else:
-            q50 = float(np.interp(t, grid, curve["q50"]))
-            qlo = float(np.interp(t, grid, curve["q2_5"]))
-            qhi = float(np.interp(t, grid, curve["q97_5"]))
-            print(f"{t:g}\t{q50:.3f}\t{qlo:.3f}\t{qhi:.3f}")
+        print("\t".join([f"{t:g}", *(f"{np.interp(t, payload['grid'], curve[c]):.3f}" for c in cols)]))
     return 0
 
 
 def cmd_eti(args) -> int:
-    if not args.interval:
+    if "intervals" not in args:
         _fail(EXIT_PARSE, "config", "eti requires at least one --interval a:b")
-    _, config, report = _load_and_run(args)
-    payload = report.payload
-    print("a\tb\teti" if config.estimator == "ml" else "a\tb\tq50\tq2.5\tq97.5")
+    if "compute_eti" in args:
+        _fail(EXIT_PARSE, "config", "eti prints ETI, so it cannot take --no-eti")
+    data, digest = read_timeseries(args.input)
+    config = _config_from_args(args)
+    payload = run_fit(data, config, digest).payload
+    names, cols = _printed_columns(config, "eti")
+    print("\t".join(["a", "b", *names]))
     for entry in payload["eti"]:
         a, b = entry["interval"]
-        if config.estimator == "ml":
-            print(f"{a:g}\t{b:g}\t{entry['value']:.4f}")
-        else:
-            print(f"{a:g}\t{b:g}\t{entry['q50']:.4f}\t{entry['q2_5']:.4f}\t{entry['q97_5']:.4f}")
+        print("\t".join([f"{a:g}", f"{b:g}", *(f"{entry[c]:.4f}" for c in cols)]))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    scenario = Scenario(
-        n=args.n,
-        sigma=args.sigma,
-        reps=args.reps,
-        seed=args.seed,
-        grid_size=args.grid,
-        restarts=args.restarts,
-    )
-    result = run_study([scenario])
-    csv_text = result.to_csv()
+    csv_text = run_study([Scenario(**_given(args, Scenario))]).to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -201,32 +185,32 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit the model and write a report directory")
+    model = [_model_args()]
+    p_fit = sub.add_parser("fit", parents=model, help="fit the model and write a report directory")
     p_fit.add_argument("input", help="CSV file with header t,y (or date,new_positives)")
     p_fit.add_argument("--out", required=True, help="output directory")
-    _add_model_args(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_tdi = sub.add_parser("tdi", help="query the trend direction index")
+    p_tdi = sub.add_parser("tdi", parents=model, help="query the trend direction index")
     p_tdi.add_argument("input")
     p_tdi.add_argument("--at", type=float, action="append", help="absolute query time (repeatable)")
     p_tdi.add_argument("--delta", type=float, action="append",
                        help="offset from the anchor (repeatable)")
-    _add_model_args(p_tdi)
     p_tdi.set_defaults(func=cmd_tdi)
 
-    p_eti = sub.add_parser("eti", help="query the expected trend instability")
+    p_eti = sub.add_parser("eti", parents=model, help="query the expected trend instability")
     p_eti.add_argument("input")
-    _add_model_args(p_eti)
     p_eti.set_defaults(func=cmd_eti)
 
+    # --seed, --grid and --restarts take Scenario's defaults when not given
     p_sim = sub.add_parser("simulate", help="run one simulation-study scenario")
     p_sim.add_argument("--n", type=int, default=50)
     p_sim.add_argument("--sigma", type=float, default=0.1)
     p_sim.add_argument("--reps", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--grid", type=int, default=201)
-    p_sim.add_argument("--restarts", type=int, default=8, help="starts of each replicate's ML fit, default included")
+    p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--grid", type=int, dest="grid_size", metavar="GRID", default=argparse.SUPPRESS)
+    p_sim.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                       help="starts of each replicate's ML fit, default included")
     p_sim.add_argument("--out", default=None, help="output CSV (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 

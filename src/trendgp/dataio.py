@@ -95,14 +95,6 @@ def read_timeseries(path: str) -> tuple[Dataset, str]:
     return data, digest
 
 
-def write_timeseries(data: Dataset, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "y"])
-        for t, y in zip(data.ts, data.ys):
-            writer.writerow([repr(float(t)), repr(float(y))])
-
-
 @dataclass(frozen=True)
 class CovidSeries:
     dates: tuple[str, ...]

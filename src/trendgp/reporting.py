@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict, replace
 
@@ -37,11 +38,12 @@ from .estimation import (
 from .indices import TdiCurve, crosspoint, evaluate_indices
 from .kernels import FAMILIES, AssumptionError, order_violation, require_order
 from .posterior import Dataset, Hyperparams, Posterior
-from .selection import CandidateGrid, select_model
-from .transforms import TransformSpec, back_transform_summary, transform_dataset
+from .selection import SCHEMES, CandidateGrid, select_model
+from .transforms import TRANSFORM_KINDS, TransformSpec, back_transform_summary, transform_dataset
 
 _Z975 = float(ndtri(0.975))
 SCHEMA_VERSION = 1
+ESTIMATORS = ("ml", "bayes")
 
 
 class ConfigError(ValueError):
@@ -59,16 +61,16 @@ class AnalysisConfig:
     anchor: float | None = None  # default: last observation time
     transform: str = "identity"
     seed: int = 0
-    chains: int = 4
-    iters: int = 25_000
+    chains: int = McmcOptions.chains
+    iters: int = McmcOptions.iters
     threshold: float = 0.5
     crosspoint_window: tuple | None = None
     forecast: bool = False
     compute_eti: bool = True
     selection_scheme: str = "loo"
-    candidate_degrees: tuple = (0, 1, 2)
-    candidate_families: tuple = ("SE", "RQ", "M32", "M52")
-    restarts: int = 16
+    candidate_degrees: tuple = CandidateGrid.degrees
+    candidate_families: tuple = CandidateGrid.families
+    restarts: int = FitOptions.restarts
     max_draws: int = 1000
     prior_overrides: dict = field(default_factory=dict)
 
@@ -91,14 +93,20 @@ class AnalysisConfig:
     def validate(self, data: Dataset) -> None:
         """Reject a configuration before any fit: ConfigError, or AssumptionError (A3)."""
         parsed = self.parsed_model()
-        if self.estimator not in ("ml", "bayes"):
-            raise ConfigError(f"estimator must be 'ml' or 'bayes', got {self.estimator!r}")
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
+        for name, values in (("anchor", () if self.anchor is None else (self.anchor,)),
+                             ("interval end", [v for iv in self.intervals for v in iv]),
+                             ("crosspoint window end", self.crosspoint_window or ())):
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"{name} must be finite, got {bad[0]}")
         # R-hat's draws per chain come after a warmup of half the iterations
         if self.estimator == "bayes" and (self.chains < RHAT_MIN_CHAINS
                                           or self.iters - self.iters // 2 < RHAT_MIN_KEPT):
@@ -108,10 +116,10 @@ class AnalysisConfig:
             raise ConfigError(f"max draws must be >= 1, got {self.max_draws}")
         if self.grid_size < 2:
             raise ConfigError(f"grid size must be >= 2, got {self.grid_size}")
-        if self.transform not in ("identity", "log", "logit", "arcsine_sqrt"):
+        if self.transform not in TRANSFORM_KINDS:
             raise ConfigError(f"unknown transform {self.transform!r}")
-        if self.selection_scheme not in ("loo", "osa"):
-            raise ConfigError(f"selection scheme must be 'loo' or 'osa', got {self.selection_scheme!r}")
+        if self.selection_scheme not in SCHEMES:
+            raise ConfigError(f"selection scheme must be one of {SCHEMES}, got {self.selection_scheme!r}")
         lo, hi = data.span
         if not self.forecast:
             for a, b in self.resolved_intervals(data):
@@ -173,13 +181,7 @@ class AnalysisConfig:
         return float(data.ts[-1]) if self.anchor is None else float(self.anchor)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["intervals"] = [list(iv) for iv in self.intervals]
-        out["candidate_degrees"] = list(self.candidate_degrees)
-        out["candidate_families"] = list(self.candidate_families)
-        if self.crosspoint_window is not None:
-            out["crosspoint_window"] = list(self.crosspoint_window)
-        return out
+        return asdict(self)  # JSON writes its tuples as arrays
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -208,10 +210,11 @@ def priors_from_overrides(base: PriorSpec, overrides: dict) -> PriorSpec:
     return PriorSpec(priors)
 
 
-def _curve_dict(grid: np.ndarray, **cols) -> dict:
+def _curve_dict(grid: np.ndarray, cols: dict, scale: str) -> dict:
     out = {"t": [float(v) for v in grid]}
     for name, values in cols.items():
         out[name] = [float(v) for v in np.asarray(values)]
+    out["scale"] = scale
     return out
 
 
@@ -224,9 +227,10 @@ def _quantile_cols(draws) -> dict:
     return dict(zip(_QUANTILES, np.quantile(draws, list(_QUANTILES.values()), axis=0)))
 
 
-def _gauss_band(mu: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_band(mu: np.ndarray, var: np.ndarray) -> dict:
+    """The columns of a Gaussian curve: its mean and central 95% band."""
     sd = np.sqrt(np.maximum(var, 0.0))
-    return mu - _Z975 * sd, mu + _Z975 * sd
+    return {"mean": mu, "lo2_5": mu - _Z975 * sd, "hi97_5": mu + _Z975 * sd}
 
 
 @dataclass
@@ -236,15 +240,12 @@ class TrendReport:
     payload: dict
 
     def write(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
         curves_dir = os.path.join(out_dir, "curves")
         os.makedirs(curves_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.payload["provenance"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        for name, body in (("report.json", self.payload), ("provenance.json", self.payload["provenance"])):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                json.dump(body, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         for name, curve in self.payload["curves"].items():
             if curve is None:
                 continue
@@ -257,15 +258,17 @@ class TrendReport:
                     writer.writerow([repr(t)] + [repr(curve[c][i]) for c in cols])
 
 
+# The fields of each selection candidate's row in diagnostics.selection.scores.
+_SCORE_KEYS = ("degree", "family", "mspe", "substituted_to_se", "failed", "screened")
+
+
 def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendReport:
     """Execute the full analysis pipeline for one dataset and configuration."""
     config.validate(data)
     tf = TransformSpec(config.transform)
     fit_data = transform_dataset(tf, data)
-    anchor = config.resolved_anchor(data)
     intervals = config.resolved_intervals(data)
-    lo, hi = data.span
-    grid = np.linspace(lo, hi, config.grid_size)
+    grid = np.linspace(*data.span, config.grid_size)
 
     selection_info = None
     parsed = config.parsed_model()
@@ -279,28 +282,25 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
         selection_info = {
             "scheme": sel.scheme,
             "winner": {"degree": sel.winner.degree, "family": sel.winner.family},
-            "scores": [
-                {
-                    "degree": s.degree,
-                    "family": s.family,
-                    "mspe": s.mspe,
-                    "substituted_to_se": s.substituted_to_se,
-                    "failed": s.failed,
-                    "screened": s.screened,
-                }
-                for s in sel.scores
-            ],
+            "scores": [{key: getattr(s, key) for key in _SCORE_KEYS} for s in sel.scores],
         }
     else:
         degree, family = parsed
         fit = fit_ml(fit_data, degree, family, opts)
 
     outputs = _ml_outputs if config.estimator == "ml" else _bayes_outputs
-    fit_block, curves, eti_block, cp, diagnostics = outputs(
-        fit_data, config, tf, fit, grid, anchor, intervals
-    )
+    fit_block, curve_cols, eti_cols, diagnostics = outputs(fit_data, config, tf, fit, grid, intervals)
     if selection_info is not None:
         diagnostics["selection"] = selection_info
+
+    # the level f is on the outcome's scale, every other curve (f_latent too) on the model's
+    model_scale = "original" if tf.kind == "identity" else "transformed"
+    curves = {name: None if cols is None else _curve_dict(grid, cols, "original" if name == "f" else model_scale)
+              for name, cols in curve_cols.items()}
+    eti_block = [{"interval": [a, b], **{name: float(col[j]) for name, col in eti_cols.items()}}
+                 for j, (a, b) in enumerate(intervals)]
+    tdi = TdiCurve(grid=grid, values=curve_cols["tdi"]["value" if config.estimator == "ml" else "q50"],
+                   anchor=config.resolved_anchor(data))
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -322,35 +322,33 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
         "grid": [float(v) for v in grid],
         "curves": curves,
         "eti": eti_block,
-        "crosspoint": cp,
+        "crosspoint": crosspoint(tdi, config.crosspoint_window or data.span, threshold=config.threshold),
         "diagnostics": diagnostics,
     }
     return TrendReport(payload=payload)
 
 
-def _crosspoint_value(curve: TdiCurve, config: AnalysisConfig, data_span) -> float | None:
-    window = config.crosspoint_window or data_span
-    cp = crosspoint(curve, window, threshold=config.threshold)
-    return None if cp is None else float(cp)
+def _ml_outputs(fit_data, config, tf, fit, grid, intervals):
+    """The report parts of an ML fit: (fit block, curve columns, ETI columns, diagnostics).
 
-
-def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
+    Curve columns map each curve's name to its columns, {column name: values
+    on the grid} in the CSV's order, or to None for a curve the run does not
+    compute.  The TDI curve's column is `value`.  ETI columns map each
+    column name to one value per interval.  `run_fit` builds the report's
+    curves, scale tags, ETI block and crosspoint from them.
+    """
     theta = fit.theta
     post = Posterior(fit_data, theta)
     mm, tdi_vals, rates, etis = evaluate_indices(post, grid, intervals, want_eti=config.compute_eti)
-    tdi_c = TdiCurve(grid=grid, values=tdi_vals, anchor=anchor)
-    f_lo, f_hi = _gauss_band(mm.mu_f, mm.var_f)
-    df_lo, df_hi = _gauss_band(mm.mu_df, mm.var_df)
-    pred_lo, pred_hi = _gauss_band(mm.mu_f, mm.var_f + theta.sigma**2)
-
-    scale = "original" if config.transform == "identity" else "transformed"
+    level = _gauss_band(mm.mu_f, mm.var_f)
     curves = {
-        "df": _curve_dict(grid, mean=mm.mu_df, lo2_5=df_lo, hi97_5=df_hi) | {"scale": scale},
-        "tdi": _curve_dict(grid, value=tdi_c.values) | {"scale": scale},
-        "predictive": _curve_dict(grid, mean=mm.mu_f, lo2_5=pred_lo, hi97_5=pred_hi) | {"scale": scale},
+        "df": _gauss_band(mm.mu_df, mm.var_df),
+        "tdi": {"value": tdi_vals},
+        "predictive": _gauss_band(mm.mu_f, mm.var_f + theta.sigma**2),
+        "local_eti": None if rates is None else {"value": rates},
     }
-    if config.transform == "identity":
-        curves["f"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "original"}
+    if tf.kind == "identity":
+        curves["f"] = level
     else:
         if tf.kind == "arcsine_sqrt":
             # sin^2 increases only on [0, pi/2], which the latent band can leave
@@ -358,15 +356,11 @@ def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
                                         taus=tuple(_QUANTILES.values()))
         else:
             # exp and expit increase on the whole line: they map quantiles of f exactly
-            qs = (tf.inverse(f_lo), tf.inverse(mm.mu_f), tf.inverse(f_hi))
-        curves["f"] = _curve_dict(grid, q2_5=qs[0], q50=qs[1], q97_5=qs[2]) | {"scale": "original"}
+            qs = [tf.inverse(level[c]) for c in ("lo2_5", "mean", "hi97_5")]
+        curves["f"] = dict(zip(_QUANTILES, qs))
         # keep the transformed-scale level too; its bands are exact
-        curves["f_latent"] = _curve_dict(grid, mean=mm.mu_f, lo2_5=f_lo, hi97_5=f_hi) | {"scale": "transformed"}
+        curves["f_latent"] = level
 
-    curves["local_eti"] = None if rates is None else _curve_dict(grid, value=rates) | {"scale": scale}
-    eti_block = [{"interval": [a, b], "value": v} for (a, b), v in zip(intervals, etis)]
-
-    cp = _crosspoint_value(tdi_c, config, fit_data.span)
     fit_block = {
         "params": _theta_params(theta),
         "loglik": fit.loglik,
@@ -377,51 +371,39 @@ def _ml_outputs(fit_data, config, tf, fit, grid, anchor, intervals):
         "n_failed_restarts": fit.n_failed_restarts,
         "n_restarts": len(fit.start_logliks),
     }
-    return fit_block, curves, eti_block, cp, diagnostics
+    return fit_block, curves, {"value": etis}, diagnostics
 
 
 def _theta_params(theta: Hyperparams) -> dict:
     return {name: float(v) for name, v in _ModelSpace.of(theta).values(theta).items()}
 
 
-def _bayes_outputs(fit_data, config, tf, ml, grid, anchor, intervals):
+def _bayes_outputs(fit_data, config, tf, ml, grid, intervals):
+    """The report parts of a Bayesian fit, in `_ml_outputs`'s layout.
+
+    Curve and ETI columns are the posterior quantiles q2_5, q50 and q97_5
+    (df, and f under the identity transform, also carry a `mean`), so the
+    TDI curve's column is its median `q50`.
+    """
     priors = default_priors(ml.theta)
     if config.prior_overrides:
         priors = priors_from_overrides(priors, config.prior_overrides)
-    samples = fit_bayes(
-        fit_data,
-        ml.theta.mean.degree,
-        ml.theta.kernel.family,  # SE when an RQ fit was substituted
-        priors=priors,
-        opts=McmcOptions(chains=config.chains, iters=config.iters, seed=config.seed),
-    )
-    idx = index_posterior(
-        fit_data,
-        samples,
-        grid,
-        want_eti=config.compute_eti,
-        intervals=intervals,
-        max_draws=config.max_draws,
-    )
+    # the ML fit's family is SE when an RQ fit was substituted
+    samples = fit_bayes(fit_data, ml.theta.mean.degree, ml.theta.kernel.family, priors=priors,
+                        opts=McmcOptions(chains=config.chains, iters=config.iters, seed=config.seed))
+    idx = index_posterior(fit_data, samples, grid, want_eti=config.compute_eti, intervals=intervals,
+                          max_draws=config.max_draws)
 
-    scale = "original" if config.transform == "identity" else "transformed"
-    tdi_q = _quantile_cols(idx.tdi)
     curves = {
-        "tdi": _curve_dict(grid, **tdi_q) | {"scale": scale},
-        "local_eti": None if idx.local_eti is None
-        else _curve_dict(grid, **_quantile_cols(idx.local_eti)) | {"scale": scale},
+        "tdi": _quantile_cols(idx.tdi),
+        "local_eti": None if idx.local_eti is None else _quantile_cols(idx.local_eti),
     }
-    eti_q = _quantile_cols(idx.eti)  # one column per interval; none without ETI
-    eti_block = [{"interval": [a, b], **{name: float(q[j]) for name, q in eti_q.items()}}
-                 for j, (a, b) in enumerate(intervals)]
-    draw_counts = {"skipped_draw_fraction": idx.skipped_fraction, "n_draws_used": idx.n_used}
+    eti = _quantile_cols(idx.eti)  # one entry per interval; none without ETI
+    diagnostics = {"skipped_draw_fraction": idx.skipped_fraction, "n_draws_used": idx.n_used}
     level = (idx.mu_f, idx.var_f, idx.mu_df, idx.var_df, idx.noise_var)
     # the per-draw indices are summarized: free them before the level curves draw
     del idx
-    curves |= _bayes_level_curves(*level, grid, tf, config)
-
-    median_curve = TdiCurve(grid=grid, values=tdi_q["q50"], anchor=anchor)
-    cp = _crosspoint_value(median_curve, config, fit_data.span)
+    curves |= _bayes_level_curves(*level, tf, config.seed)
 
     param_quantiles = {
         name: {q: float(v) for q, v in _quantile_cols(samples.flat(name)).items()}
@@ -432,21 +414,18 @@ def _bayes_outputs(fit_data, config, tf, ml, grid, anchor, intervals):
         "param_quantiles": param_quantiles,
         "substituted_from": ml.substituted_from,
     }
-    diagnostics = {
-        "rhat": {name: rhat(samples, name) for name in samples.param_names},
-        "acceptance": [float(a) for a in samples.acceptance],
-        **draw_counts,
-    }
-    return fit_block, curves, eti_block, cp, diagnostics
+    diagnostics["rhat"] = {name: rhat(samples, name) for name in samples.param_names}
+    diagnostics["acceptance"] = [float(a) for a in samples.acceptance]
+    return fit_block, curves, eti, diagnostics
 
 
-def _bayes_level_curves(mu_f, var_f, mu_df, var_df, noise_var, grid, tf, config) -> dict:
-    """Mixture curves for f, df and the predictive by sampling one realization
-    per used draw, from its grid moments (`IndexPosterior` rows); quantiles
-    then reflect both parameter and path noise."""
+def _bayes_level_curves(mu_f, var_f, mu_df, var_df, noise_var, tf, seed) -> dict:
+    """Columns of the f, df and predictive mixture curves, by sampling one
+    realization per used draw from its grid moments (`IndexPosterior` rows);
+    quantiles then reflect both parameter and path noise."""
 
-    rng = np.random.default_rng(config.seed)
-    z = rng.standard_normal((mu_f.shape[0], 3, grid.size))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((mu_f.shape[0], 3, mu_f.shape[1]))
     # mu + sd * z, written over z so the draws need no second buffer
     f_arr, df_arr, pred_arr = z[:, 0], z[:, 1], z[:, 2]
     f_arr *= np.sqrt(np.maximum(var_f, 0.0))
@@ -455,15 +434,12 @@ def _bayes_level_curves(mu_f, var_f, mu_df, var_df, noise_var, grid, tf, config)
     df_arr += mu_df
     pred_arr *= np.sqrt(np.maximum(var_f, 0.0) + noise_var[:, None])
     pred_arr += mu_f
-    scale = "original" if config.transform == "identity" else "transformed"
     out = {
-        "df": _curve_dict(grid, mean=np.mean(mu_df, axis=0), **_quantile_cols(df_arr))
-        | {"scale": scale},
-        "predictive": _curve_dict(grid, **_quantile_cols(pred_arr)) | {"scale": scale},
+        "df": {"mean": np.mean(mu_df, axis=0), **_quantile_cols(df_arr)},
+        "predictive": _quantile_cols(pred_arr),
     }
-    if config.transform == "identity":
-        out["f"] = (_curve_dict(grid, mean=np.mean(mu_f, axis=0), **_quantile_cols(f_arr))
-                    | {"scale": "original"})
+    if tf.kind == "identity":
+        out["f"] = {"mean": np.mean(mu_f, axis=0), **_quantile_cols(f_arr)}
     else:
-        out["f"] = _curve_dict(grid, **_quantile_cols(tf.inverse(f_arr))) | {"scale": "original"}
+        out["f"] = _quantile_cols(tf.inverse(f_arr))
     return out

@@ -21,6 +21,8 @@ from .estimation import FitError, FitOptions, FitResult, _ModelSpace, fit_ml
 from .parallel import fork_map
 from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, marginal_moments
 
+SCHEMES = ("loo", "osa")  # leave-one-out, one-step-ahead
+
 # Tie-break order from fewest to most kernel parameters, then by smoothness.
 _FAMILY_RANK = {"SE": 0, "M52": 1, "M32": 2, "RQ": 3}
 
@@ -88,7 +90,7 @@ def _folds(n: int, scheme: str, min_train: int = 3) -> list[tuple[np.ndarray, in
             raise ValueError(f"leave-one-out scoring needs n >= 4 observations, got {n}")
         return [(np.delete(np.arange(n), i), i) for i in range(n)]
     if scheme != "osa":
-        raise ValueError(f"scheme must be 'loo' or 'osa', got {scheme!r}")
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if min_train < 3:
         raise ValueError(f"min_train must be >= 3, got {min_train}")
     if n <= min_train:

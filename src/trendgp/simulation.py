@@ -52,8 +52,8 @@ class Scenario:
             raise ValueError(f"scenario needs n >= 3 observations, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"scenario seed must be a non-negative integer, got {self.seed}")
-        if self.sigma < 0:
-            raise ValueError(f"scenario noise must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"scenario noise must be finite and non-negative, got {self.sigma}")
         if self.reps < 1:
             raise ValueError(f"scenario needs at least one replicate, got {self.reps}")
         if self.grid_size < 3:
@@ -161,17 +161,6 @@ def squared_l2(truth, estimate, grid) -> float:
     if not truth.shape == estimate.shape == grid.shape:
         raise ValueError("truth, estimate and grid must have equal length")
     return _trapezoid((truth - estimate) ** 2, grid)
-
-
-def naive_sign_changes(data: Dataset) -> int:
-    """Sign changes of consecutive first differences of the raw outcomes.
-
-    The crude finite-difference baseline for "how often did the trend flip".
-    """
-    if data.n < 3:
-        raise ValueError(f"sign-change counting needs n >= 3 observations, got {data.n}")
-    diffs = np.diff(data.ys)
-    return count_crossings(diffs).total
 
 
 def _replicate(scenario: Scenario, rep: int, laws: dict) -> dict | None:

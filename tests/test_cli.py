@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism and exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from trendgp.cli import main
+from trendgp.cli import build_parser, main
 from trendgp.dataio import iso_to_fractional_year, read_timeseries
 from trendgp.estimation import FitOptions, fit_ml
 from trendgp.posterior import Posterior
-from trendgp.transforms import TransformSpec, back_transform_summary, transform_dataset
+from trendgp.reporting import ESTIMATORS, AnalysisConfig, ConfigError
+from trendgp.selection import SCHEMES
+from trendgp.simulation import Scenario
+from trendgp.transforms import TRANSFORM_KINDS, TransformSpec, back_transform_summary, transform_dataset
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "dpc-covid19-ita-andamento-nazionale.csv")
@@ -68,15 +72,12 @@ class TestIngestion:
             read_timeseries(str(path))
 
     def test_roundtrip(self, tmp_path):
-        from trendgp.dataio import write_timeseries
-        from trendgp.posterior import Dataset
-
-        data = Dataset(np.array([0.5, 1.25, 2.0]), np.array([0.1, -0.7, 0.33]))
+        ts, ys = np.array([0.5, 1.25, 2.0]), np.array([0.1, -0.7, 0.33])
         path = tmp_path / "out.csv"
-        write_timeseries(data, str(path))
+        _write_series(path, ts, ys)
         back, _ = read_timeseries(str(path))
-        assert np.array_equal(back.ts, data.ts)
-        assert np.array_equal(back.ys, data.ys)
+        assert np.array_equal(back.ts, ts)
+        assert np.array_equal(back.ys, ys)
 
 
 class TestFitCommand:
@@ -238,8 +239,7 @@ class TestBayesAndTransformRuns:
 
         rng = np.random.default_rng(2)
         level = (*(rng.uniform(0.1, 1.0, (5, 4)) for _ in range(4)), rng.uniform(0.1, 1.0, 5))
-        config = reporting.AnalysisConfig(estimator="bayes", transform="log")
-        curves = reporting._bayes_level_curves(*level, np.linspace(0.0, 1.0, 4), TransformSpec("log"), config)
+        curves = reporting._bayes_level_curves(*level, TransformSpec("log"), 0)
         assert set(curves) == {"f", "df", "predictive"}
 
     def test_logit_transform_back_maps_level_curve(self, proportion_csv, tmp_path):
@@ -352,6 +352,76 @@ class TestQueryCommands:
     def test_eti_requires_interval(self, series_csv, capsys):
         code, _ = _run(["eti", series_csv, "--model", "0:SE"])
         assert code == 2
+
+
+class _Stop(Exception):
+    """Raised in place of a fit, carrying what the command would have fitted."""
+
+
+class TestOptionDefaults:
+    """Options left out take the dataclasses' defaults: the CLI states none of its own."""
+
+    @pytest.mark.parametrize("command, want", [
+        (["fit", "--out", "x"], AnalysisConfig()),
+        (["tdi"], AnalysisConfig(compute_eti=False)),
+        (["eti", "--interval", "0:1"], AnalysisConfig(intervals=((0.0, 1.0),))),
+        (["fit", "--out", "x", "--model", "0:RQ", "--estimator", "bayes", "--grid", "60", "--seed", "3",
+          "--transform", "log", "--interval", "0:1", "--interval", "1:2", "--anchor", "1.5", "--chains", "3",
+          "--iters", "500", "--restarts", "2", "--no-eti", "--forecast", "--crosspoint-window", "0.5:1",
+          "--threshold", "0.4", "--selection-scheme", "osa", "--degrees", "0,1", "--families", "se, rq",
+          "--max-draws", "7", "--priors", "PRIORS"],
+         AnalysisConfig(model="0:RQ", estimator="bayes", grid_size=60, seed=3, transform="log",
+                        intervals=((0.0, 1.0), (1.0, 2.0)), anchor=1.5, chains=3, iters=500, restarts=2,
+                        compute_eti=False, forecast=True, crosspoint_window=(0.5, 1.0), threshold=0.4,
+                        selection_scheme="osa", candidate_degrees=(0, 1), candidate_families=("SE", "RQ"),
+                        max_draws=7, prior_overrides={"rho": {"dist": "half_normal", "loc": 0, "scale": 2}})),
+    ], ids=["fit", "tdi", "eti", "fit-every-option"])
+    def test_model_options_build_the_config(self, series_csv, tmp_path, monkeypatch, command, want):
+        from trendgp import cli
+
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"rho": {"dist": "half_normal", "loc": 0, "scale": 2}}))
+
+        def stop(data, config, digest):
+            raise _Stop(config)
+
+        monkeypatch.setattr(cli, "run_fit", stop)
+        args = [str(priors) if a == "PRIORS" else str(tmp_path / a) if a == "x" else a for a in command[1:]]
+        with pytest.raises(_Stop) as stopped:
+            main([command[0], series_csv, *args])
+        assert stopped.value.args[0] == want
+
+    def test_simulate_takes_the_scenarios_defaults(self, monkeypatch):
+        from trendgp import cli
+
+        def stop(scenarios):
+            raise _Stop(scenarios)
+
+        monkeypatch.setattr(cli, "run_study", stop)
+        with pytest.raises(_Stop) as stopped:
+            main(["simulate", "--n", "12", "--sigma", "0.2", "--reps", "3"])
+        assert stopped.value.args[0] == [Scenario(n=12, sigma=0.2, reps=3)]
+
+    def test_choices_are_the_tuples_validate_checks(self, series_csv):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        want = {"estimator": ESTIMATORS, "transform": TRANSFORM_KINDS, "selection_scheme": SCHEMES}
+        for command in ("fit", "tdi", "eti"):
+            assert {a.dest: a.choices for a in sub.choices[command]._actions if a.choices} == want
+        data, _ = read_timeseries(series_csv)
+        for name, values in want.items():
+            for value in values:
+                AnalysisConfig(**{name: value}).validate(data)
+            with pytest.raises(ConfigError):
+                AnalysisConfig(**{name: "other"}).validate(data)
+
+    @pytest.mark.parametrize("command", ["fit", "tdi", "eti", "simulate", "fetch-covid"])
+    def test_help_names_options_not_config_fields(self, capsys, command):
+        code, _ = _run([command, "--help"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "usage: trendgp " + command in out
+        for field in ("GRID_SIZE", "INTERVALS", "CANDIDATE_DEGREES", "CANDIDATE_FAMILIES", "PRIOR_OVERRIDES"):
+            assert field not in out
 
 
 class TestAutoSelection:
@@ -630,6 +700,26 @@ class TestErrorExitCodes:
         if command[0] == "fit":
             return ["fit", series_csv, "--out", str(tmp_path / "x"), *command[1:]]
         return [command[0], series_csv, *command[1:]]
+
+    @pytest.mark.parametrize("command, reason", [
+        (["eti", "--interval", "0:1", "--no-eti"], "eti prints ETI, so it cannot take --no-eti"),
+        (["fit", "--forecast", "--anchor", "nan"], "anchor must be finite, got nan"),
+        (["fit", "--forecast", "--interval", "0:inf"], "interval end must be finite, got inf"),
+        (["fit", "--crosspoint-window", "nan:1"], "crosspoint window end must be finite, got nan"),
+        (["simulate", "--sigma", "inf"], "scenario noise must be finite and non-negative, got inf"),
+        (["simulate", "--sigma", "nan"], "scenario noise must be finite and non-negative, got nan"),
+    ], ids=["eti-no-eti", "anchor-nan", "interval-inf", "crosspoint-window-nan", "sigma-inf", "sigma-nan"])
+    def test_input_no_report_can_hold_exits_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch,
+                                                             command, reason):
+        # NaN and Infinity are not JSON, and eti --no-eti would print a header alone
+        self._no_fits(monkeypatch)
+        code, _ = _run([*self._args(command[:1], series_csv, tmp_path), *command[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["reason"] == reason
 
     def test_network_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TRENDGP_COVID_URL", "http://127.0.0.1:9/nothing.csv")

@@ -9,11 +9,10 @@ import pytest
 
 from trendgp import posterior, simulation
 from trendgp.kernels import KernelSpec, MeanSpec
-from trendgp.posterior import Dataset, Hyperparams
+from trendgp.posterior import Hyperparams
 from trendgp.simulation import (
     Scenario,
     integrated_residual,
-    naive_sign_changes,
     paper_truth_kernel,
     run_study,
     squared_l2,
@@ -85,17 +84,6 @@ class TestResidualMeasures:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             integrated_residual(np.zeros(3), np.zeros(4), np.linspace(0, 1, 3))
-
-
-class TestNaiveSignChanges:
-    def test_monotone(self):
-        assert naive_sign_changes(Dataset(np.arange(5.0), np.array([1.0, 2, 3, 4, 5]))) == 0
-
-    def test_alternating(self):
-        assert naive_sign_changes(Dataset(np.arange(5.0), np.array([1.0, 0, 1, 0, 1]))) == 3
-
-    def test_single_peak(self):
-        assert naive_sign_changes(Dataset(np.arange(5.0), np.array([0.0, 1, 2, 1, 0]))) == 1
 
 
 class TestScenario:
