@@ -40,6 +40,14 @@ def _fail(code: int, kind: str, reason: str):
     raise SystemExit(code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections end in the JSON failure line; its subparsers are too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _fail(EXIT_PARSE, "parse", f"{self.prog}: {message}")
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     try:
         a, b = text.split(":")
@@ -181,8 +189,7 @@ def cmd_fetch_covid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trendgp", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="trendgp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     model = [_model_args()]

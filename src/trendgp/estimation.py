@@ -708,6 +708,8 @@ class IndexPosterior:
         return self.tdi.shape[0]
 
 
+# The default cap on the thinned draws that the index pass evaluates.
+_MAX_DRAWS = 1000
 # Draws per work unit of the index pass: a block costs far more than the
 # round trip to a worker, and a few blocks per worker balance the load.
 _DRAW_BLOCK = 32
@@ -720,7 +722,7 @@ def index_posterior(
     want_eti: bool = True,
     intervals: tuple = (),
     n_quad: int = 256,
-    max_draws: int = 2000,
+    max_draws: int = _MAX_DRAWS,
 ) -> IndexPosterior:
     """Push MCMC draws through the trend indices and return each draw's values.
 

@@ -1,26 +1,26 @@
 """Independent work units mapped over forked worker processes.
 
 `fork_map` serves the loops whose iterations share nothing: study
-replicates, cross-validation folds, MCMC chains and blocks of posterior
-draws.  Each unit owns its seed and its data, so the results do not depend
-on which process computes them or in what order.
+replicates, MCMC chains and blocks of posterior draws.  `fork_pool` runs
+one set of units in stages, as a selection's fold refits are run: every
+stage uses the same workers.  Each unit owns its seed and its data, so the
+results do not depend on which process computes them or in what order.
 
-The workers are forked, not spawned: they inherit the mapped function and
-its items from the parent's memory, so neither is pickled and a function
-that cannot be pickled (a closure, or a module function replaced by a
-wrapper) maps as well as any other.  Only item indices go to the workers
-and only results come back.  A spawned worker would re-import the package
-and pay its start-up cost once per call.
+The workers are forked, not spawned: they get the mapped function and its
+items at the fork, as the executor's initializer arguments, so neither is
+pickled and a function that cannot be pickled (a closure, or a module
+function replaced by a wrapper) maps as well as any other.  Then only item
+indices go to the workers and only results come back.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
-# (fn, items) of the running call, inherited by its workers at the fork.
+# The (fn, items) of a pool worker's pool, set at the fork.  None outside a
+# worker; inside one, a nested call runs serially.
 _work: tuple | None = None
-# True in a pool worker: a nested call runs serially there.
-_in_worker = False
 
 
 def _openblas(verb: str) -> list:
@@ -61,9 +61,9 @@ def one_blas_thread() -> None:
         set_threads(1)
 
 
-def _init_worker() -> None:
-    global _in_worker
-    _in_worker = True
+def _init_worker(fn, items) -> None:
+    global _work
+    _work = (fn, items)
     one_blas_thread()
 
 
@@ -79,32 +79,36 @@ def _run(i: int):
     return fn(*items[i])
 
 
-def fork_map(fn, items) -> list:
-    """`[fn(*x) for x in items]`, computed by up to one forked worker per usable CPU.
+@contextmanager
+def fork_pool(fn, items):
+    """Yields `run(indices)`, which returns `[fn(*items[i]) for i in indices]`.
 
-    The worker count is min(CPUs in this process's affinity mask, items).
-    With one worker, on a platform without `fork`, or inside a worker, the
-    loop runs serially in this process.  An exception raised by `fn`
-    reaches the caller with its type and message; a worker that dies
-    raises `concurrent.futures.process.BrokenProcessPool`.
+    Every `run` in one `with` block uses the same workers, forked at the
+    first `run`.  The worker count is min(CPUs in this process's affinity
+    mask, items).  With one worker, on a platform without `fork`, or inside
+    a worker, `run` computes serially in this process.  An exception raised
+    by `fn` reaches the caller with its type and message; a worker that
+    dies raises `concurrent.futures.process.BrokenProcessPool`.
     """
-    global _work
     items = list(items)
     workers = min(_usable_cpus(), len(items))
-    if workers < 2 or _in_worker:
-        return [fn(*x) for x in items]
-    import multiprocessing
+    if workers >= 2 and _work is None:
+        import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
 
-    _work = (fn, items)
-    try:
-        # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-        # when a worker dies (say, killed for memory) instead of waiting forever.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_init_worker) as pool:
-            return list(pool.map(_run, range(len(items))))
-    finally:
-        _work = None
+            # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+            # when a worker dies (say, killed for memory) instead of waiting forever.
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(fn, items)) as pool:
+                yield lambda indices: list(pool.map(_run, indices))
+            return
+    yield lambda indices: [fn(*items[i]) for i in indices]
+
+
+def fork_map(fn, items) -> list:
+    """`[fn(*x) for x in items]`: one `fork_pool` and one `run` over every item."""
+    items = list(items)
+    with fork_pool(fn, items) as run:
+        return run(range(len(items)))

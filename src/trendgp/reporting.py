@@ -28,6 +28,7 @@ from .estimation import (
     McmcOptions,
     PriorSpec,
     StudentTPrior,
+    _MAX_DRAWS,
     _ModelSpace,
     default_priors,
     fit_bayes,
@@ -71,7 +72,7 @@ class AnalysisConfig:
     candidate_degrees: tuple = CandidateGrid.degrees
     candidate_families: tuple = CandidateGrid.families
     restarts: int = FitOptions.restarts
-    max_draws: int = 1000
+    max_draws: int = _MAX_DRAWS
     prior_overrides: dict = field(default_factory=dict)
 
     def parsed_model(self) -> tuple[int, str] | None:
@@ -154,6 +155,7 @@ class AnalysisConfig:
                 model = "any candidate model" if parsed is None else f"model {self.model!r}"
                 raise ConfigError(f"prior override {name!r} is not a parameter of {model}; "
                                   f"expected one of {names}")
+        priors_from_overrides(PriorSpec({}), self.prior_overrides)  # each entry builds its prior
 
     def candidate_grid(self) -> CandidateGrid:
         """The auto-selection grid less the families that cannot give the reported indices (A3).
@@ -196,16 +198,25 @@ _PRIOR_KINDS = {
 
 
 def priors_from_overrides(base: PriorSpec, overrides: dict) -> PriorSpec:
-    """Replace individual default priors from {"name": {"dist": ..., ...}} entries."""
+    """Replace individual default priors from {"name": {"dist": ..., ...}} entries.
+
+    Raises ConfigError for an unknown dist, and for parameters that are
+    missing, extra, not finite numbers, or out of the prior's range.
+    """
     priors = dict(base.priors)
     for name, spec in overrides.items():
         kind = spec.get("dist")
-        if kind not in _PRIOR_KINDS:
+        if not isinstance(kind, str) or kind not in _PRIOR_KINDS:
             raise ConfigError(f"unknown prior dist {kind!r} for {name!r}; expected one of {sorted(_PRIOR_KINDS)}")
-        kwargs = {k: float(v) for k, v in spec.items() if k != "dist"}
+        kwargs = {k: v for k, v in spec.items() if k != "dist"}
+        bad = [k for k, v in kwargs.items()
+               if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"bad prior parameters for {name!r}: {bad[0]} must be a finite number, "
+                              f"got {kwargs[bad[0]]!r}")
         try:
-            priors[name] = _PRIOR_KINDS[kind](**kwargs)
-        except TypeError as exc:
+            priors[name] = _PRIOR_KINDS[kind](**{k: float(v) for k, v in kwargs.items()})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad prior parameters for {name!r}: {exc}") from None
     return PriorSpec(priors)
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .estimation import FitError, FitOptions, FitResult, _ModelSpace, fit_ml
-from .parallel import fork_map
+from .parallel import fork_map, fork_pool
 from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, marginal_moments
 
 SCHEMES = ("loo", "osa")  # leave-one-out, one-step-ahead
@@ -114,18 +114,10 @@ def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: in
     return (data.ys[i] - pred) ** 2
 
 
-def _cv_scores(data: Dataset, folds: list, full_thetas: list) -> list:
-    """Mean squared refit fold error per candidate, given by its full-data
-    optimum, or the error of its first failed fold.  Every (candidate, fold)
-    pair goes through one `fork_map`."""
-    m = len(folds)
-    errors = fork_map(_fold_error, [(data, theta, train, i) for theta in full_thetas for train, i in folds])
-    scores = []
-    for j in range(0, len(errors), m):
-        fold_errors = errors[j : j + m]
-        failed = next((e for e in fold_errors if isinstance(e, Exception)), None)
-        scores.append(failed if failed is not None else float(np.array(fold_errors).mean()))
-    return scores
+def _cv_score(fold_errors: list):
+    """A candidate's mean squared refit fold error, or the error of its first failed fold."""
+    failed = next((e for e in fold_errors if isinstance(e, Exception)), None)
+    return failed if failed is not None else float(np.array(fold_errors).mean())
 
 
 def _fixed_theta_mspe(data: Dataset, theta: Hyperparams, scheme: str, folds: list) -> float:
@@ -158,7 +150,8 @@ def _mspe(data: Dataset, scheme: str, folds: list, degree: int, family: str, opt
     """One candidate's mean squared error over the given folds; raises its first fold error."""
     if fixed_theta is not None:
         return _fixed_theta_mspe(data, fixed_theta, scheme, folds)
-    (score,) = _cv_scores(data, folds, [fit_ml(data, degree, family, opts).theta])
+    theta = fit_ml(data, degree, family, opts).theta
+    score = _cv_score(fork_map(_fold_error, [(data, theta, train, i) for train, i in folds]))
     if isinstance(score, Exception):
         raise score
     return score
@@ -219,10 +212,10 @@ def select_model(
 
     Each candidate is fit on the full data with `opts` and scored in closed
     form with that optimum held fixed in every fold.  The leader, the
-    lowest such score, has its folds refit in one `fork_map`, each from the
-    default start and the full-data optimum.  Every other candidate whose
-    closed-form score is at most the leader's refit score is refit in a
-    second `fork_map`, which runs only if there is one.  The full-data
+    lowest such score, has its folds refit first, each from the default
+    start and the full-data optimum.  Every other candidate whose
+    closed-form score is at most the leader's refit score is refit next,
+    in the same workers: one `fork_pool` serves both stages.  The full-data
     optimum has seen each held-out point, so a closed-form score is
     optimistic: a candidate whose score already exceeds the leader's refit
     score is not expected to win.  It keeps its closed-form score and is
@@ -252,23 +245,25 @@ def select_model(
     def sort_key(s: CandidateScore):
         return (s.mspe, len(_ModelSpace(s.degree, s.family).names), _FAMILY_RANK[s.family], s.degree)
 
-    def refit(ks: list) -> None:
-        for k, mspe in zip(ks, _cv_scores(data, folds, [scores[k].fit.theta for k in ks])):
-            failed = isinstance(mspe, Exception)
-            scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None) if failed
-                         else replace(scores[k], mspe=mspe))
+    # The fold jobs of every fitted candidate in closed-form order, the leader's first
+    order = sorted((k for k, s in enumerate(scores) if not s.failed), key=lambda k: sort_key(scores[k]))
+    m = len(folds)
+    jobs = [(data, scores[k].fit.theta, train, i) for k in order for train, i in folds]
+    with fork_pool(_fold_error, jobs) as run:
+        def refit(ks: list) -> None:
+            errors = run([order.index(k) * m + j for k in ks for j in range(m)])
+            for k, lo in zip(ks, range(0, len(errors), m)):
+                mspe = _cv_score(errors[lo : lo + m])
+                scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None)
+                             if isinstance(mspe, Exception) else replace(scores[k], mspe=mspe))
 
-    rest = sorted((k for k, s in enumerate(scores) if not s.failed), key=lambda k: sort_key(scores[k]))
-    if rest:
-        leader = rest.pop(0)
-        refit([leader])
-        if not scores[leader].failed:
-            for k in rest:
-                if scores[k].mspe > scores[leader].mspe:
-                    scores[k] = replace(scores[k], screened=True)
-            rest = [k for k in rest if not scores[k].screened]
-        if rest:
-            refit(rest)
+        refit(order[:1])
+        # a leader whose folds all refit screens the candidates it beats in closed form
+        bound = scores[order[0]].mspe if order and not scores[order[0]].failed else np.inf
+        for k in order[1:]:
+            if scores[k].mspe > bound:
+                scores[k] = replace(scores[k], screened=True)
+        refit([k for k in order[1:] if not scores[k].screened])
     refitted = [s for s in scores if not (s.failed or s.screened)]
     if not refitted:
         raise FitError("every candidate model failed to fit")

@@ -402,6 +402,13 @@ class TestOptionDefaults:
             main(["simulate", "--n", "12", "--sigma", "0.2", "--reps", "3"])
         assert stopped.value.args[0] == [Scenario(n=12, sigma=0.2, reps=3)]
 
+    def test_the_thinning_cap_has_one_default(self):
+        import inspect
+
+        from trendgp.estimation import index_posterior
+
+        assert AnalysisConfig().max_draws == inspect.signature(index_posterior).parameters["max_draws"].default
+
     def test_choices_are_the_tuples_validate_checks(self, series_csv):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         want = {"estimator": ESTIMATORS, "transform": TRANSFORM_KINDS, "selection_scheme": SCHEMES}
@@ -634,6 +641,59 @@ class TestErrorExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "parse"
         assert reason in payload["reason"]
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("spec, reason", [
+        ({"dist": "gamma", "loc": 0, "scale": 2}, "unknown prior dist 'gamma'"),
+        ({"dist": "half_normal", "loc": 0}, "missing 1 required positional argument: 'scale'"),
+        ({"dist": "half_normal", "loc": 0, "scale": 2, "df": 3}, "unexpected keyword argument 'df'"),
+        ({"dist": "half_normal", "loc": 0, "scale": "2"}, "scale must be a finite number, got '2'"),
+        ({"dist": "half_normal", "loc": True, "scale": 2}, "loc must be a finite number, got True"),
+        ({"dist": "half_normal", "loc": 0, "scale": float("inf")}, "scale must be a finite number, got inf"),
+        ({"dist": "half_normal", "loc": 0, "scale": -1}, "scale must be positive"),
+        ({"dist": "half_t", "loc": 0, "scale": 2, "df": 0}, "scale and df must be positive"),
+    ], ids=["unknown-dist", "missing-parameter", "extra-parameter", "non-numeric", "boolean", "non-finite",
+            "negative-scale", "zero-df"])
+    def test_malformed_prior_overrides_exit_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch,
+                                                             estimator, spec, reason):
+        # every override builds its prior before any fit, whichever estimator runs
+        self._no_fits(monkeypatch)
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps({"rho": spec}))
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE",
+                        "--estimator", estimator, "--priors", str(path)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "parse"
+        assert "'rho'" in payload["reason"] and reason in payload["reason"]
+
+    def test_well_formed_prior_overrides_are_accepted_under_ml(self, series_csv, tmp_path):
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps({"rho": {"dist": "half_normal", "loc": 0, "scale": 2}}))
+        code, _ = _run(["fit", series_csv, "--out", str(tmp_path / "x"), "--model", "0:SE", "--restarts", "1",
+                        "--grid", "20", "--no-eti", "--priors", str(path)])
+        assert code == 0
+
+    @pytest.mark.parametrize("args, reason", [
+        (["fit", "{csv}", "--out", "{out}", "--estimator", "foo"], "argument --estimator: invalid choice: 'foo'"),
+        (["fit", "{csv}", "--out", "{out}", "--grid", "ten"], "argument --grid: invalid int value: 'ten'"),
+        (["fit", "{csv}"], "the following arguments are required: --out"),
+        (["frobnicate", "{csv}"], "argument command: invalid choice: 'frobnicate'"),
+    ], ids=["bad-estimator", "non-integer-grid", "missing-out", "unknown-subcommand"])
+    def test_argparse_rejection_exits_2_with_a_json_line(self, series_csv, tmp_path, capsys, monkeypatch,
+                                                         args, reason):
+        self._no_fits(monkeypatch)
+        code, _ = _run([a.format(csv=series_csv, out=tmp_path / "x") for a in args])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "parse"
+        assert reason in payload["reason"]
+
+    def test_top_level_help_exits_0(self, capsys):
+        # the subcommands' --help is tested with their options above
+        code, _ = _run(["--help"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_prior_overrides_may_name_any_candidates_parameter(self, series_csv):
         from trendgp.reporting import AnalysisConfig, ConfigError

@@ -1,4 +1,4 @@
-"""fork_map, and the pooled loops against their serial runs, bit for bit.
+"""fork_map and fork_pool, and the pooled loops against their serial runs, bit for bit.
 
 The worker count comes from the CPU affinity mask, so the fixtures pin it:
 `two_cpus` forces a pool whatever the machine has, `one_cpu` forces the
@@ -6,11 +6,12 @@ serial loop.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
 
-from trendgp import simulation
+from trendgp import parallel, simulation
 from trendgp.cli import main
 from trendgp.estimation import (
     FitOptions,
@@ -24,7 +25,7 @@ from trendgp.estimation import (
     index_posterior,
 )
 from trendgp.kernels import KernelSpec, MeanSpec
-from trendgp.parallel import _openblas, fork_map
+from trendgp.parallel import _openblas, fork_map, fork_pool
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.selection import CandidateGrid, loo_mspe, select_model
 from trendgp.simulation import Scenario, run_study
@@ -108,6 +109,50 @@ class TestForkMap:
         assert calls == []  # the wrapper ran in the workers, not here
 
 
+class TestForkPool:
+    def test_runs_share_one_set_of_workers(self, two_cpus):
+        with fork_pool(lambda i: (i, os.getpid()), [(i,) for i in range(8)]) as run:
+            first = run(range(4))
+            second = run([7, 5, 6, 4])
+        assert [i for i, _ in first + second] == [0, 1, 2, 3, 7, 5, 6, 4]
+        pids = {pid for _, pid in first + second}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_one_cpu_runs_serially(self, one_cpu):
+        with fork_pool(lambda i: (i, os.getpid()), [(i,) for i in range(4)]) as run:
+            assert run([2, 0]) == [(2, os.getpid()), (0, os.getpid())]
+            assert run([3]) == [(3, os.getpid())]
+
+    def test_nested_pool_runs_serially_in_the_worker(self, two_cpus):
+        def outer(i):
+            with fork_pool(lambda j: os.getpid(), [(j,) for j in range(3)]) as run:
+                return os.getpid(), run(range(3)) + run([0])
+
+        for pid, inner in fork_map(outer, [(i,) for i in range(3)]):
+            assert pid != os.getpid()
+            assert inner == [pid] * 4
+
+    def test_worker_exception_reaches_caller(self, two_cpus):
+        def unit(i):
+            if i == 3:
+                raise McmcError(f"chain {i} failed")
+            return i
+
+        with fork_pool(unit, [(i,) for i in range(4)]) as run:
+            assert run([0, 1]) == [0, 1]
+            with pytest.raises(McmcError, match=r"^chain 3 failed$"):
+                run([2, 3])
+
+    def test_parent_sets_no_work_global(self, two_cpus):
+        # the workers get (fn, items) at the fork: the parent's global stays unset
+        with fork_pool(lambda i: parallel._work is not None, [(i,) for i in range(4)]) as run:
+            assert run(range(2)) == [True, True]
+            assert parallel._work is None
+            assert run(range(2, 4)) == [True, True]
+        assert parallel._work is None
+        assert fork_map(lambda i: i, [(0,), (1,)]) == [0, 1] and parallel._work is None
+
+
 def _series(n, seed):
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 2.0, n)
@@ -144,6 +189,19 @@ class TestPooledEqualsSerial:
         assert all(not s.failed for s in serial.scores)
         assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
         assert pooled.winner == serial.winner
+
+    def test_select_model_with_a_survivor(self, monkeypatch):
+        # select-small input 1001: 0:M52 survives the screen, so its folds
+        # run after the leader's, in the same workers
+        ts = np.linspace(0.0, 1.0, 12)
+        noise = np.random.default_rng([1001, zlib.crc32(b"select-small")]).standard_normal(12)
+        data = Dataset(ts, 1000.0 * (np.sin(3.0 * np.pi * ts) + 0.6 * ts) + 50.0 * noise)
+        grid = CandidateGrid(degrees=(0,), families=("SE", "M52"))
+        serial, pooled = _serial_and_pooled(
+            monkeypatch, lambda: select_model(data, grid, opts=FitOptions(restarts=4, seed=1001)))
+        assert not any(s.failed or s.screened for s in serial.scores)
+        assert pooled.scores == serial.scores
+        assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
 
     @pytest.fixture(scope="class")
     def bayes_case(self):

@@ -1,5 +1,6 @@
 """Cross-validated model selection."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -259,41 +260,72 @@ class TestFoldRefitStarts:
 
 
 class TestOneFoldPool:
-    """Each stage of a selection sends its folds through one fork_map call:
-    the leader's folds, then the survivors' folds only when there are any."""
+    """A selection forks one pool: it runs the leader's folds, then, in the
+    same workers, the survivors' folds when there are any."""
 
-    def test_fork_map_calls_per_loo_selection(self, monkeypatch):
+    def test_one_pool_per_loo_selection(self, monkeypatch):
         # 1:SE leads, 0:SE survives the screen, both M52 candidates are screened out
-        calls, result = self._fork_map_calls(monkeypatch, "loo", degrees=(0, 1))
-        assert calls == [9, 9]
+        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0, 1))
+        assert (pools, runs) == (1, [9, 9])
         assert [s.screened for s in result.scores] == [False, True, False, True]
-        # with no survivor the leader's folds are the only pool
-        calls, result = self._fork_map_calls(monkeypatch, "loo", degrees=(0,))
-        assert calls == [9]
+        # with no survivor the second run refits nothing
+        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0,))
+        assert (pools, runs) == (1, [9, 0])
         assert [s.screened for s in result.scores] == [False, True]
 
-    def test_fork_map_calls_per_osa_selection(self, monkeypatch):
+    def test_one_pool_per_osa_selection(self, monkeypatch):
         # one-step-ahead folds hold out rows 3 to n - 1; no candidate is screened
-        calls, result = self._fork_map_calls(monkeypatch, "osa", degrees=(0, 1))
-        assert calls == [9 - 3, 3 * (9 - 3)]
+        pools, runs, result = self._pools_and_runs(monkeypatch, "osa", degrees=(0, 1))
+        assert (pools, runs) == (1, [9 - 3, 3 * (9 - 3)])
+        assert not any(s.screened for s in result.scores)
+
+    def test_one_pool_when_the_leader_fails_a_fold(self, monkeypatch):
+        # 1:SE leads and fails the fold that leaves out observation 2, so the
+        # other three candidates, the M52 ones the screen would drop included,
+        # are all refit in the leader's workers
+        real = selection.fit_ml
+
+        def fit_ml(d, degree, family, opts):
+            if (degree, family) == (1, "SE") and _wiggle().ts[2] not in d.ts:
+                raise FitError("no SE fit without observation 2")
+            return real(d, degree, family, opts)
+
+        monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0, 1))
+        assert (pools, runs) == (1, [9, 3 * 9])
+        assert [s.failed for s in result.scores] == [False, False, True, False]
         assert not any(s.screened for s in result.scores)
 
     @staticmethod
-    def _fork_map_calls(monkeypatch, scheme, degrees):
-        calls = []
-        real = selection.fork_map
+    def _pools_and_runs(monkeypatch, scheme, degrees):
+        """ProcessPoolExecutor constructions, and the length of each `run`, in one selection."""
+        import concurrent.futures
 
-        def counted(fn, items):
-            items = list(items)
-            calls.append(len(items))
-            return real(fn, items)
+        pools, runs = [], []
+        real_executor, real_pool = concurrent.futures.ProcessPoolExecutor, selection.fork_pool
 
-        monkeypatch.setattr(selection, "fork_map", counted)
+        class Counted(real_executor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        @contextlib.contextmanager
+        def fork_pool(fn, items):
+            with real_pool(fn, items) as run:
+                def counted(indices):
+                    runs.append(len(indices))
+                    return run(indices)
+
+                yield counted
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(selection, "fork_pool", fork_pool)
         data = _wiggle()
         grid = CandidateGrid(degrees=degrees, families=("SE", "M52"))
         result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
-        assert data.n == 9 and all(not s.failed for s in result.scores)
-        return calls, result
+        assert data.n == 9
+        return len(pools), runs, result
 
     def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
         # the leader, 1:SE, fails its refits in the folds that leave out
