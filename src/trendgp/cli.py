@@ -111,7 +111,7 @@ def _config_from_args(args) -> AnalysisConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 given["prior_overrides"] = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or too many digits
             raise ConfigError(f"cannot read prior overrides: {exc}") from None
     return AnalysisConfig(**given)
 

@@ -7,16 +7,15 @@ stage uses the same workers.  Each unit owns its seed and its data, so the
 results do not depend on which process computes them or in what order.
 
 The workers are forked, not spawned: they get the mapped function and its
-items at the fork, as the executor's initializer arguments, so neither is
-pickled and a function that cannot be pickled (a closure, or a module
-function replaced by a wrapper) maps as well as any other.  Then only item
-indices go to the workers and only results come back.
+items at the fork, as the executor's initializer arguments, unpickled, so
+a closure or a module function replaced by a wrapper maps as well as any
+other.  Then only item indices go to the workers and only results return.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 # The (fn, items) of a pool worker's pool, set at the fork.  None outside a
 # worker; inside one, a nested call runs serially.
@@ -83,28 +82,31 @@ def _run(i: int):
 def fork_pool(fn, items):
     """Yields `run(indices)`, which returns `[fn(*items[i]) for i in indices]`.
 
-    Every `run` in one `with` block uses the same workers, forked at the
-    first `run`.  The worker count is min(CPUs in this process's affinity
-    mask, items).  With one worker, on a platform without `fork`, or inside
-    a worker, `run` computes serially in this process.  An exception raised
-    by `fn` reaches the caller with its type and message; a worker that
-    dies raises `concurrent.futures.process.BrokenProcessPool`.
+    Every `run` in one `with` block shares the workers forked by the first
+    `run` that can use two: min(CPUs in the affinity mask, its indices).
+    With one worker, without `fork`, or inside a worker, `run` computes
+    serially in this process.  An exception raised by `fn` reaches the
+    caller with its type and message; a worker that dies raises
+    `concurrent.futures.process.BrokenProcessPool`.
     """
-    items = list(items)
-    workers = min(_usable_cpus(), len(items))
-    if workers >= 2 and _work is None:
-        import multiprocessing
+    items, pools = list(items), []  # the executor, once a run can use two workers
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+    def run(indices) -> list:
+        workers = min(_usable_cpus(), len(indices))
+        if not pools and workers >= 2 and _work is None:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+                # when a worker dies (say, killed for memory) instead of waiting forever.
+                pools.append(stack.enter_context(ProcessPoolExecutor(
+                    workers, multiprocessing.get_context("fork"), initializer=_init_worker, initargs=(fn, items))))
+        if not pools:
+            return [fn(*items[i]) for i in indices]
+        return list(pools[0].map(_run, indices))
 
-            # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-            # when a worker dies (say, killed for memory) instead of waiting forever.
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_init_worker, initargs=(fn, items)) as pool:
-                yield lambda indices: list(pool.map(_run, indices))
-            return
-    yield lambda indices: [fn(*items[i]) for i in indices]
+    with ExitStack() as stack:
+        yield run
 
 
 def fork_map(fn, items) -> list:

@@ -209,11 +209,13 @@ def priors_from_overrides(base: PriorSpec, overrides: dict) -> PriorSpec:
         if not isinstance(kind, str) or kind not in _PRIOR_KINDS:
             raise ConfigError(f"unknown prior dist {kind!r} for {name!r}; expected one of {sorted(_PRIOR_KINDS)}")
         kwargs = {k: v for k, v in spec.items() if k != "dist"}
-        bad = [k for k, v in kwargs.items()
-               if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)]
-        if bad:
-            raise ConfigError(f"bad prior parameters for {name!r}: {bad[0]} must be a finite number, "
-                              f"got {kwargs[bad[0]]!r}")
+        for k, v in kwargs.items():
+            try:  # type() rules out bool; float() of an integer too large for a float overflows
+                finite = type(v) in (int, float) and math.isfinite(float(v))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"bad prior parameters for {name!r}: {k} must be a finite number, got {v!r}")
         try:
             priors[name] = _PRIOR_KINDS[kind](**{k: float(v) for k, v in kwargs.items()})
         except (TypeError, ValueError) as exc:

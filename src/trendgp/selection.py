@@ -215,12 +215,11 @@ def select_model(
     lowest such score, has its folds refit first, each from the default
     start and the full-data optimum.  Every other candidate whose
     closed-form score is at most the leader's refit score is refit next,
-    in the same workers: one `fork_pool` serves both stages.  The full-data
-    optimum has seen each held-out point, so a closed-form score is
-    optimistic: a candidate whose score already exceeds the leader's refit
-    score is not expected to win.  It keeps its closed-form score and is
-    marked `screened`.  If a fold of the leader fails, every other
-    candidate is refit.
+    in the same workers of one `fork_pool`.  The full-data optimum has seen
+    each held-out point, so a closed-form score is optimistic: a candidate
+    whose score already exceeds the leader's refit score is not expected to
+    win.  It keeps that score and is marked `screened`.  If a fold of the
+    leader fails, every other candidate is refit.
 
     Ties break toward fewer parameters, then toward the simpler family.
     RQ candidates whose nu diverged are scored as their SE refit and marked.
@@ -250,20 +249,20 @@ def select_model(
     m = len(folds)
     jobs = [(data, scores[k].fit.theta, train, i) for k in order for train, i in folds]
     with fork_pool(_fold_error, jobs) as run:
-        def refit(ks: list) -> None:
-            errors = run([order.index(k) * m + j for k in ks for j in range(m)])
-            for k, lo in zip(ks, range(0, len(errors), m)):
-                mspe = _cv_score(errors[lo : lo + m])
+        def refit(ps) -> None:  # positions in `order`
+            errors = run([p * m + j for p in ps for j in range(m)])
+            for p, lo in zip(ps, range(0, len(errors), m)):
+                k, mspe = order[p], _cv_score(errors[lo : lo + m])
                 scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None)
                              if isinstance(mspe, Exception) else replace(scores[k], mspe=mspe))
 
-        refit(order[:1])
+        positions = range(len(order))
+        refit(positions[:1])
         # a leader whose folds all refit screens the candidates it beats in closed form
         bound = scores[order[0]].mspe if order and not scores[order[0]].failed else np.inf
         for k in order[1:]:
-            if scores[k].mspe > bound:
-                scores[k] = replace(scores[k], screened=True)
-        refit([k for k in order[1:] if not scores[k].screened])
+            scores[k] = replace(scores[k], screened=scores[k].mspe > bound)
+        refit([p for p in positions[1:] if not scores[order[p]].screened])
     refitted = [s for s in scores if not (s.failed or s.screened)]
     if not refitted:
         raise FitError("every candidate model failed to fit")

@@ -650,10 +650,11 @@ class TestErrorExitCodes:
         ({"dist": "half_normal", "loc": 0, "scale": "2"}, "scale must be a finite number, got '2'"),
         ({"dist": "half_normal", "loc": True, "scale": 2}, "loc must be a finite number, got True"),
         ({"dist": "half_normal", "loc": 0, "scale": float("inf")}, "scale must be a finite number, got inf"),
+        ({"dist": "half_normal", "loc": 0, "scale": 10**400}, "scale must be a finite number, got 1000"),
         ({"dist": "half_normal", "loc": 0, "scale": -1}, "scale must be positive"),
         ({"dist": "half_t", "loc": 0, "scale": 2, "df": 0}, "scale and df must be positive"),
     ], ids=["unknown-dist", "missing-parameter", "extra-parameter", "non-numeric", "boolean", "non-finite",
-            "negative-scale", "zero-df"])
+            "too-large-for-a-float", "negative-scale", "zero-df"])
     def test_malformed_prior_overrides_exit_2_before_fitting(self, series_csv, tmp_path, capsys, monkeypatch,
                                                              estimator, spec, reason):
         # every override builds its prior before any fit, whichever estimator runs

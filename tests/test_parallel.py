@@ -118,6 +118,26 @@ class TestForkPool:
         pids = {pid for _, pid in first + second}
         assert len(pids) <= 2 and os.getpid() not in pids
 
+    def test_workers_are_counted_at_the_first_run_that_can_use_two(self, monkeypatch):
+        # eight CPUs: a one-index run computes here, the next run forks three
+        # workers, and a six-index run after it reuses those three
+        import concurrent.futures
+
+        sizes = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        _cpus(monkeypatch, 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        with fork_pool(lambda i: os.getpid(), [(i,) for i in range(6)]) as run:
+            assert run([0]) == [os.getpid()] and sizes == []
+            pids = set(run([1, 2, 3]) + run(range(6)))
+        assert sizes == [3]
+        assert len(pids) <= 3 and os.getpid() not in pids
+
     def test_one_cpu_runs_serially(self, one_cpu):
         with fork_pool(lambda i: (i, os.getpid()), [(i,) for i in range(4)]) as run:
             assert run([2, 0]) == [(2, os.getpid()), (0, os.getpid())]

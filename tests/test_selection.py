@@ -268,37 +268,32 @@ class TestOneFoldPool:
         pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0, 1))
         assert (pools, runs) == (1, [9, 9])
         assert [s.screened for s in result.scores] == [False, True, False, True]
+        assert not any(s.failed for s in result.scores)
         # with no survivor the second run refits nothing
         pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0,))
         assert (pools, runs) == (1, [9, 0])
         assert [s.screened for s in result.scores] == [False, True]
+        assert not any(s.failed for s in result.scores)
 
     def test_one_pool_per_osa_selection(self, monkeypatch):
         # one-step-ahead folds hold out rows 3 to n - 1; no candidate is screened
         pools, runs, result = self._pools_and_runs(monkeypatch, "osa", degrees=(0, 1))
         assert (pools, runs) == (1, [9 - 3, 3 * (9 - 3)])
-        assert not any(s.screened for s in result.scores)
+        assert not any(s.screened or s.failed for s in result.scores)
 
-    def test_one_pool_when_the_leader_fails_a_fold(self, monkeypatch):
-        # 1:SE leads and fails the fold that leaves out observation 2, so the
-        # other three candidates, the M52 ones the screen would drop included,
-        # are all refit in the leader's workers
-        real = selection.fit_ml
-
-        def fit_ml(d, degree, family, opts):
-            if (degree, family) == (1, "SE") and _wiggle().ts[2] not in d.ts:
-                raise FitError("no SE fit without observation 2")
-            return real(d, degree, family, opts)
-
-        monkeypatch.setattr(selection, "fit_ml", fit_ml)
-        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0, 1))
-        assert (pools, runs) == (1, [9, 3 * 9])
-        assert [s.failed for s in result.scores] == [False, False, True, False]
-        assert not any(s.screened for s in result.scores)
+    @classmethod
+    def _pools_and_runs(cls, monkeypatch, scheme, degrees):
+        """ProcessPoolExecutor constructions, the length of each `run`, and the result of one selection."""
+        pools, runs = cls._counted(monkeypatch)
+        data = _wiggle()
+        grid = CandidateGrid(degrees=degrees, families=("SE", "M52"))
+        result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
+        assert data.n == 9
+        return len(pools), runs, result
 
     @staticmethod
-    def _pools_and_runs(monkeypatch, scheme, degrees):
-        """ProcessPoolExecutor constructions, and the length of each `run`, in one selection."""
+    def _counted(monkeypatch):
+        """Two CPUs, and the lists that collect each ProcessPoolExecutor's arguments and each `run`'s length."""
         import concurrent.futures
 
         pools, runs = [], []
@@ -321,16 +316,13 @@ class TestOneFoldPool:
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         monkeypatch.setattr(selection, "fork_pool", fork_pool)
-        data = _wiggle()
-        grid = CandidateGrid(degrees=degrees, families=("SE", "M52"))
-        result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
-        assert data.n == 9
-        return len(pools), runs, result
+        return pools, runs
 
     def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
         # the leader, 1:SE, fails its refits in the folds that leave out
         # observations 2 and 5: it reports the first of them, and every other
-        # candidate is refit, the M52 ones that the screen would drop included
+        # candidate is refit, the M52 ones that the screen would drop included,
+        # in the one pool the leader's folds ran in
         data = _wiggle()
         real = selection.fit_ml
 
@@ -342,11 +334,11 @@ class TestOneFoldPool:
 
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
-        runs = []
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
-            runs.append(select_model(data, grid, opts=_fast_opts(seed=3)))
-        serial, pooled = runs
+        _cpus(monkeypatch, 1)
+        serial = select_model(data, grid, opts=_fast_opts(seed=3))
+        pools, runs = self._counted(monkeypatch)
+        pooled = select_model(data, grid, opts=_fast_opts(seed=3))
+        assert (len(pools), runs) == (1, [9, 3 * 9])
         assert pooled.scores == serial.scores
         for a, b in zip(pooled.scores, serial.scores):
             assert np.asarray(a.mspe, dtype=float).tobytes() == np.asarray(b.mspe, dtype=float).tobytes()
