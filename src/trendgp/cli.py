@@ -66,7 +66,8 @@ def _model_args() -> argparse.ArgumentParser:
     p.add_argument("--model", help="'auto' (cross-validated selection) or '<degree>:<family>', e.g. 0:RQ")
     p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--grid", type=int, dest="grid_size", metavar="GRID")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed of the MCMC chains and the Bayesian level-curve draws; "
+                   "an ML fit draws no random number")
     p.add_argument("--transform", choices=TRANSFORM_KINDS)
     p.add_argument("--interval", type=_parse_interval, action="append", dest="intervals", metavar="INTERVAL",
                    help="ETI interval a:b (repeatable)")
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=50)
     p_sim.add_argument("--sigma", type=float, default=0.1)
     p_sim.add_argument("--reps", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="seed of the truths, the noise and each replicate's extra ML starts")
     p_sim.add_argument("--grid", type=int, dest="grid_size", metavar="GRID", default=argparse.SUPPRESS)
     p_sim.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
                        help="starts of each replicate's ML fit, default included")

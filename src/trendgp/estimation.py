@@ -306,6 +306,9 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
 @dataclass(frozen=True)
 class FitOptions:
     restarts: int = 16
+    # Seeds the starts after the default one.  A report's fits keep 0, so the
+    # same data always start from the same list; each study replicate passes
+    # its own, so the study's cost and optima do not hinge on one list's draws.
     seed: int = 0
     warm_theta: Hyperparams | None = None  # extra restart, e.g. full-data optimum
 

@@ -274,12 +274,9 @@ def kernel_partial(spec: KernelSpec, order_s: int, order_t: int, s, t):
 
 def kernel_gram(spec: KernelSpec, ts, us, order_s: int = 0, order_t: int = 0) -> np.ndarray:
     """Matrix of kernel_partial over the product grid ts x us."""
-    _check_order(spec, order_s, order_t)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    diff = ts[:, None] - us[None, :]
-    sign = -1.0 if order_t % 2 else 1.0
-    return sign * _stationary_deriv(spec, diff, order_s + order_t)
+    return kernel_partial(spec, order_s, order_t, ts[:, None], us[None, :])
 
 
 def _q_over_1pq_minus_log1p(q: np.ndarray) -> np.ndarray:

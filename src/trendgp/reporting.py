@@ -40,7 +40,7 @@ from .indices import TdiCurve, crosspoint, evaluate_indices
 from .kernels import FAMILIES, AssumptionError, order_violation, require_order
 from .posterior import Dataset, Hyperparams, Posterior
 from .selection import SCHEMES, CandidateGrid, select_model
-from .transforms import TRANSFORM_KINDS, TransformSpec, back_transform_summary, transform_dataset
+from .transforms import TRANSFORM_KINDS, TransformSpec, arcsine_sqrt_quantiles, transform_dataset
 
 _Z975 = float(ndtri(0.975))
 SCHEMA_VERSION = 1
@@ -108,6 +108,9 @@ class AnalysisConfig:
             bad = [v for v in values if not math.isfinite(v)]
             if bad:
                 raise ConfigError(f"{name} must be finite, got {bad[0]}")
+        for a, b in self.resolved_intervals(data):
+            if b < a:
+                raise ConfigError(f"interval [{a}, {b}] ends before it starts")
         # R-hat's draws per chain come after a warmup of half the iterations
         if self.estimator == "bayes" and (self.chains < RHAT_MIN_CHAINS
                                           or self.iters - self.iters // 2 < RHAT_MIN_KEPT):
@@ -285,7 +288,8 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
 
     selection_info = None
     parsed = config.parsed_model()
-    opts = FitOptions(restarts=config.restarts, seed=config.seed)
+    # no seed: every ML fit of a report starts from FitOptions' one default list, whatever --seed says
+    opts = FitOptions(restarts=config.restarts)
     if parsed is None:
         sel = select_model(fit_data, config.candidate_grid(), scheme=config.selection_scheme, opts=opts)
         # the selection's full-data fit of the winner, as fit_ml of the family
@@ -365,8 +369,7 @@ def _ml_outputs(fit_data, config, tf, fit, grid, intervals):
     else:
         if tf.kind == "arcsine_sqrt":
             # sin^2 increases only on [0, pi/2], which the latent band can leave
-            qs = back_transform_summary(tf, post.joint(grid, blocks=("f",)), k=4000, seed=config.seed,
-                                        taus=tuple(_QUANTILES.values()))
+            qs = arcsine_sqrt_quantiles(mm.mu_f, mm.var_f, tuple(_QUANTILES.values()))
         else:
             # exp and expit increase on the whole line: they map quantiles of f exactly
             qs = [tf.inverse(level[c]) for c in ("lo2_5", "mean", "hi97_5")]

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def series_csv(tmp_path):
     path = tmp_path / "series.csv"
     _write_series(path, ts, np.round(ys, 4))
     return str(path)
+
+
+def _arcsine_near_zero_csv(tmp_path):
+    """A proportion series whose arcsine_sqrt latent band dips below 0."""
+    rng = np.random.default_rng(5)
+    ts = np.linspace(0, 2, 14)
+    path = tmp_path / "low.csv"
+    _write_series(path, ts, np.round(np.abs(0.05 * (1 - ts / 2) + rng.normal(0, 0.005, 14)) ** 2, 8))
+    return path
 
 
 def _run(args):
@@ -89,6 +99,34 @@ class TestFitCommand:
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("case", ["select-small", "fixture-rq-log", "arcsine-near-zero"])
+    def test_ml_report_does_not_depend_on_the_seed(self, tmp_path, case):
+        # every ML fit starts from one fixed list and the arcsine_sqrt band is
+        # exact, so --seed reaches the report through its own fields alone
+        if case == "select-small":  # the select-small benchmark's input for data seed 1
+            t = np.linspace(0.0, 1.0, 12)
+            noise = np.random.default_rng([1, zlib.crc32(b"select-small")]).standard_normal(12)
+            path = tmp_path / "s.csv"
+            _write_series(path, t, 1000 * (np.sin(3 * np.pi * t) + 0.6 * t) + 50 * noise)
+            args = ["--model", "auto", "--degrees", "0", "--families", "SE,M52"]
+        elif case == "fixture-rq-log":
+            path = tmp_path / "covid.csv"
+            assert _run(["fetch-covid", "--out", str(path), "--offline", "--fixture", FIXTURE])[0] == 0
+            args = ["--model", "0:RQ", "--transform", "log"]
+        else:
+            path = _arcsine_near_zero_csv(tmp_path)
+            args = ["--model", "0:SE", "--transform", "arcsine_sqrt", "--grid", "30"]
+        runs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            code, _ = _run(["fit", str(path), "--out", str(out), *args, "--restarts", "4", "--seed", seed])
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["config"]["seed"], report["provenance"]["seed"], report["provenance"]["config_hash"]
+            curves = {name: (out / "curves" / name).read_bytes() for name in sorted(os.listdir(out / "curves"))}
+            runs.append((report, curves))
+        assert runs[0] == runs[1]
 
     def test_row_order_changes_only_the_data_digest(self, series_csv, tmp_path):
         rows = open(series_csv).read().splitlines()
@@ -259,13 +297,10 @@ class TestBayesAndTransformRuns:
             assert f_curve[q] == expit(latent[col]).tolist()
         assert report["curves"]["tdi"]["scale"] == "transformed"
 
-    def test_arcsine_sqrt_band_near_zero_comes_from_sampled_paths(self, tmp_path):
+    def test_arcsine_sqrt_band_near_zero_matches_sampled_paths(self, tmp_path):
         # near 0 the latent band leaves [0, pi/2], where sin^2 folds back and no
         # longer maps quantiles of f to quantiles of sin^2(f)
-        rng = np.random.default_rng(5)
-        ts = np.linspace(0, 2, 14)
-        path = tmp_path / "low.csv"
-        _write_series(path, ts, np.round(np.abs(0.05 * (1 - ts / 2) + rng.normal(0, 0.005, 14)) ** 2, 8))
+        path = _arcsine_near_zero_csv(tmp_path)
         out = tmp_path / "asin"
         code, _ = _run(["fit", str(path), "--out", str(out), "--model", "0:SE",
                         "--transform", "arcsine_sqrt", "--restarts", "4", "--grid", "30",
@@ -278,9 +313,11 @@ class TestBayesAndTransformRuns:
         assert np.all(q[0] <= q[1]) and np.all(q[1] <= q[2])
         tf = TransformSpec("arcsine_sqrt")
         fit_data = transform_dataset(tf, read_timeseries(str(path))[0])
-        theta = fit_ml(fit_data, 0, "SE", FitOptions(restarts=4, seed=3)).theta
+        theta = fit_ml(fit_data, 0, "SE", FitOptions(restarts=4)).theta
         jp = Posterior(fit_data, theta).joint(np.array(report["grid"]), blocks=("f",))
-        assert q.tolist() == back_transform_summary(tf, jp, k=4000, seed=3).tolist()
+        # the exact band against 200k joint paths, within 1% of the band's width
+        mc = back_transform_summary(tf, jp, k=200_000, seed=3)
+        assert np.max(np.abs(q - mc)) <= 0.01 * np.max(q[2] - q[0])
 
     def test_boundary_proportion_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -695,6 +732,17 @@ class TestErrorExitCodes:
         code, _ = _run(["--help"])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("model", ["auto", "0:SE"])
+    def test_reversed_interval_is_a_config_error_before_any_fit(self, series_csv, monkeypatch, model):
+        # the CLI's interval parser rejects one; a library caller's reaches validate
+        from trendgp import reporting, selection
+
+        for module in (reporting, selection):
+            monkeypatch.setattr(module, "fit_ml", lambda *a, **k: pytest.fail("fit_ml called"))
+        data, digest = read_timeseries(series_csv)
+        with pytest.raises(ConfigError, match="ends before it starts"):
+            reporting.run_fit(data, AnalysisConfig(model=model, intervals=((0.8, 0.2),)), digest)
 
     def test_prior_overrides_may_name_any_candidates_parameter(self, series_csv):
         from trendgp.reporting import AnalysisConfig, ConfigError

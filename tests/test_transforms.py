@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from trendgp.kernels import KernelSpec, MeanSpec
-from trendgp.posterior import Dataset, Hyperparams
-from trendgp.transforms import TransformSpec, back_transform_summary, transform_dataset
+from trendgp.posterior import Dataset, Hyperparams, Posterior
+from trendgp.transforms import TransformSpec, arcsine_sqrt_quantiles, back_transform_summary, transform_dataset
 
 from conftest import inverse_deriv, joint_posterior, tdi, tdi_original_scale
 
@@ -157,3 +158,56 @@ class TestBackTransformSummary:
         jp = joint_posterior(data, _theta(), [1.0], blocks=("df",))
         with pytest.raises(ValueError):
             back_transform_summary(TransformSpec("log"), jp, k=10, seed=0)
+
+
+class TestArcsineSqrtQuantiles:
+    TAUS = (0.025, 0.5, 0.975)
+
+    def test_quantiles_increase_within_the_unit_interval(self, rng):
+        # levels on several periods of sin^2, narrow to wider than the period
+        mu = rng.uniform(-4.0, 6.0, 200)
+        var = np.exp(rng.uniform(np.log(1e-8), np.log(50.0), 200))
+        qs = arcsine_sqrt_quantiles(mu, var, (0.01, 0.025, 0.25, 0.5, 0.75, 0.975, 0.99))
+        assert np.all(np.diff(qs, axis=0) >= 0)
+        assert np.all((qs >= 0) & (qs <= 1))
+
+    @pytest.mark.parametrize("level", [0.02, 0.8], ids=["near-zero", "interior"])
+    def test_matches_sampled_paths(self, level):
+        # near 0 the latent band leaves [0, pi/2] and sin^2 folds it back
+        ts = np.linspace(0.0, 3.0, 9)
+        data = Dataset(ts, level + 0.03 * np.sin(2.0 * ts))
+        theta = Hyperparams(MeanSpec((level,)), KernelSpec("SE", 0.1, 0.8), 0.05)
+        grid = np.linspace(0.0, 3.0, 20)
+        post = Posterior(data, theta)
+        mm = post.marginal(grid)
+        band = mm.mu_f - float(ndtri(0.975)) * np.sqrt(mm.var_f)
+        assert (band.min() < 0.0) == (level < 0.1)
+        qs = arcsine_sqrt_quantiles(mm.mu_f, mm.var_f, self.TAUS)
+        k = 200_000
+        mc = back_transform_summary(TransformSpec("arcsine_sqrt"), post.joint(grid, blocks=("f",)),
+                                    k=k, seed=6, taus=self.TAUS)
+        assert np.max(np.abs(qs - mc)) <= 0.01 * np.max(qs[2] - qs[0])
+        # and at every point within 4.5 standard errors of a sample quantile,
+        # sqrt(tau (1 - tau) / k) times the slope of the quantile function
+        taus, h = np.array(self.TAUS), 1e-3
+        slope = (arcsine_sqrt_quantiles(mm.mu_f, mm.var_f, tuple(taus + h))
+                 - arcsine_sqrt_quantiles(mm.mu_f, mm.var_f, tuple(taus - h))) / (2 * h)
+        assert np.all(np.abs(qs - mc) <= 4.5 * np.sqrt(taus * (1 - taus) / k)[:, None] * slope)
+
+    def test_interior_band_is_sin2_of_the_latent_band(self, rng):
+        # mu +- 9 sd inside (0, pi/2): sin^2 increases there and maps quantiles exactly
+        mu = rng.uniform(0.3, 1.2, 50)
+        sd = rng.uniform(1e-6, 1.0, 50) * np.minimum(mu, math.pi / 2 - mu) / 9.0
+        qs = arcsine_sqrt_quantiles(mu, sd**2, self.TAUS)
+        want = np.sin(mu + sd * ndtri(np.array(self.TAUS))[:, None]) ** 2
+        assert np.allclose(qs, want, rtol=1e-12, atol=0.0)
+
+    def test_zero_variance_is_a_point_mass(self):
+        # RuntimeWarnings are errors under this suite's settings
+        mu = np.array([-0.3, 0.4, 2.0, 0.4])
+        qs = arcsine_sqrt_quantiles(mu, np.array([0.0, -1e-18, 0.0, 0.01]), self.TAUS)
+        for row in qs:
+            assert np.array_equal(row[:3], np.sin(mu[:3]) ** 2)
+        assert qs[0, 3] < qs[1, 3] < qs[2, 3]
+        assert np.array_equal(arcsine_sqrt_quantiles(mu, np.zeros(4), self.TAUS),
+                              np.tile(np.sin(mu) ** 2, (3, 1)))
