@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", type=float, default=0.1)
     p_sim.add_argument("--reps", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="seed of the truths, the noise and each replicate's extra ML starts")
+                       help="seed of the truths and the noise")
     p_sim.add_argument("--grid", type=int, dest="grid_size", metavar="GRID", default=argparse.SUPPRESS)
     p_sim.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
                        help="starts of each replicate's ML fit, default included")

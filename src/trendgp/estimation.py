@@ -5,7 +5,11 @@ likelihood of the observations is a plain multivariate normal density and
 the remaining parameter space is at most six-dimensional.  ML maximizes it
 by multi-start L-BFGS-B over the log-transformed kernel and noise
 parameters, on the closed-form gradient of the likelihood with the mean
-coefficients profiled out by generalized least squares.  The Bayesian path
+coefficients profiled out by generalized least squares.  Its starts are
+deterministic: a default start, an optional warm start, and the points of
+a fixed Kronecker sequence whose likelihood value is highest among the
+first 32 (a screen that costs no gradient), so ML fitting draws no random
+number.  The Bayesian path
 samples the same space (mean coefficients included) with an adaptive
 random-walk Metropolis chain targeting prior x marginal likelihood.
 """
@@ -249,6 +253,23 @@ def _ml_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((n, n)), np.zeros((n, n), order="F")
 
 
+def _profile_loglik(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float, k, buf):
+    """Profile marginal log likelihood: mean coefficients replaced by GLS.
+
+    Returns (loglik, betas, L, white): L is the covariance factor, held in
+    buf, and white = L^-1 (y - X betas).  k is the kernel on the distinct
+    lags, or None to evaluate it here.  _profile_mll adds the gradient; the
+    start screen uses the value alone.  The caller checks the design for
+    finiteness once per fit.
+    """
+    L = _factor(data, kernel, sigma, k, out=buf)
+    Xw = _whiten(L, design)
+    yw = _whiten(L, data.ys)
+    betas = _gls(Xw, yw)
+    white = yw - Xw @ betas
+    return _gauss_loglik(L, white), betas, L, white
+
+
 def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: float, work):
     """Profile marginal log likelihood and its gradient: mean coefficients replaced by GLS.
 
@@ -266,12 +287,7 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
     buf, gap = work
     # one evaluation of k and k' serves the Gram and the gradient rows
     k, dk_dlog = kernel_log_param_grads(kernel, lags)
-    L = _factor(data, kernel, sigma, k, out=buf)
-    Xw = _whiten(L, design)
-    yw = _whiten(L, data.ys)
-    betas = _gls(Xw, yw)
-    white = yw - Xw @ betas
-    ll = _gauss_loglik(L, white)
+    ll, betas, L, white = _profile_loglik(data, design, kernel, sigma, k, buf)
     # a = L^-T white by trs; L^-T by trtri, in L's memory, then the upper
     # triangle of K^-1 - a a^T by syrk and a rank-one syr update.  Unlike
     # potri (its lauum step) or trmv, these, and the potrf behind L, gave the
@@ -305,11 +321,7 @@ def _profile_mll(data: Dataset, design: np.ndarray, kernel: KernelSpec, sigma: f
 
 @dataclass(frozen=True)
 class FitOptions:
-    restarts: int = 16
-    # Seeds the starts after the default one.  A report's fits keep 0, so the
-    # same data always start from the same list; each study replicate passes
-    # its own, so the study's cost and optima do not hinge on one list's draws.
-    seed: int = 0
+    restarts: int = 16  # L-BFGS-B starts: the default one, warm_theta, then the screen's best
     warm_theta: Hyperparams | None = None  # extra restart, e.g. full-data optimum
 
 
@@ -321,37 +333,6 @@ class FitResult:
     substituted_from: str | None
     start_logliks: tuple[float, ...]
     n_failed_restarts: int
-
-
-def _start_points(data: Dataset, space: _ModelSpace, opts: FitOptions) -> list[dict]:
-    span = data.ts[-1] - data.ts[0] if data.n > 1 else 1.0
-    span = span if span > 0 else 1.0
-    with np.errstate(all="ignore"):
-        coefs = np.polyfit(data.ts, data.ys, space.degree)
-        resid_sd = float(np.std(data.ys - np.polyval(coefs, data.ts)))
-    if not np.isfinite(resid_sd):
-        raise FitError("observations are too extreme for a finite residual scale")
-    scale_y = max(resid_sd, 1e-8 * max(1.0, float(np.max(np.abs(data.ys)))), 1e-12)
-
-    starts = [{"alpha": scale_y, "rho": span / 4.0, "nu": 1.0, "sigma": 0.5 * scale_y}]
-    if opts.warm_theta is not None:
-        w = opts.warm_theta
-        starts.append(
-            {"alpha": w.kernel.alpha, "rho": w.kernel.rho, "nu": w.kernel.nu or 1.0,
-             "sigma": max(w.sigma, 1e-10 * scale_y)}
-        )
-    rng = np.random.default_rng(opts.seed)
-    lo_rho, hi_rho = math.log(span / 50.0), math.log(2.0 * span)
-    for _ in range(max(opts.restarts - len(starts), 0)):
-        starts.append(
-            {
-                "alpha": scale_y * math.exp(rng.uniform(math.log(0.125), math.log(4.0))),
-                "rho": math.exp(rng.uniform(lo_rho, hi_rho)),
-                "nu": math.exp(rng.uniform(math.log(0.1), math.log(20.0))),
-                "sigma": scale_y * math.exp(rng.uniform(math.log(0.02), math.log(2.0))),
-            }
-        )
-    return starts
 
 
 # alpha, rho and sigma are capped at 1e8, as upper box bounds on their log
@@ -368,13 +349,82 @@ _CONVERGED_PGTOL = 1e-4
 _MAXITER = 2000  # L-BFGS-B iterations, and objective evaluations, per restart
 
 
+# The start screen scores the first _SCREEN_POINTS points (more when more
+# starts are asked for) of the 4-d Kronecker sequence
+# u_i = frac(0.5 + i (g^-1, g^-2, g^-3, g^-4)), i = 1, 2, ..., where g is
+# the positive root of x^5 = x + 1, mapped log-uniformly onto the start box.
+_KRONECKER_G = 1.1673039782614187
+_SCREEN_POINTS = 32
+# what a failed likelihood evaluation raises
+_EVAL_ERRORS = (FactorizationError, ValueError, OverflowError)
+
+
+def _kronecker_points(k: int) -> np.ndarray:
+    """The first k points of the screen's 4-d Kronecker sequence, one row each."""
+    i = np.arange(1.0, k + 1.0)[:, None]
+    return np.modf(0.5 + i * _KRONECKER_G ** -np.arange(1.0, 5.0))[0]
+
+
+def _start_points(data: Dataset, space: _ModelSpace, design: np.ndarray, opts: FitOptions, buf) -> list[dict]:
+    """The L-BFGS-B starts: the default one, opts.warm_theta, then the screen's best.
+
+    Starts beyond those fixed ones are the best of the screen's Kronecker
+    points by profile log likelihood, a value alone (_profile_loglik in buf,
+    no gradient); ties break toward the earlier point.  A point that fails,
+    or lies above the box cap, scores -inf.  Non-RQ families ignore nu.  A
+    pure function of the data, the model and opts: no random number.
+    """
+    span = data.ts[-1] - data.ts[0] if data.n > 1 else 1.0
+    span = span if span > 0 else 1.0
+    with np.errstate(all="ignore"):
+        coefs = np.polyfit(data.ts, data.ys, space.degree)
+        resid_sd = float(np.std(data.ys - np.polyval(coefs, data.ts)))
+    if not np.isfinite(resid_sd):
+        raise FitError("observations are too extreme for a finite residual scale")
+    scale_y = max(resid_sd, 1e-8 * max(1.0, float(np.max(np.abs(data.ys)))), 1e-12)
+
+    starts = [{"alpha": scale_y, "rho": span / 4.0, "nu": 1.0, "sigma": 0.5 * scale_y}]
+    if opts.warm_theta is not None:
+        w = opts.warm_theta
+        starts.append(
+            {"alpha": w.kernel.alpha, "rho": w.kernel.rho, "nu": w.kernel.nu or 1.0,
+             "sigma": max(w.sigma, 1e-10 * scale_y)}
+        )
+    extra = opts.restarts - len(starts)
+    if extra <= 0:
+        return starts
+
+    # the start box, as log bounds of (alpha, rho, nu, sigma)
+    lo = np.log([0.125 * scale_y, span / 50.0, 0.1, 0.02 * scale_y])
+    hi = np.log([4.0 * scale_y, 2.0 * span, 20.0, 2.0 * scale_y])
+    candidates = [dict(zip(("alpha", "rho", "nu", "sigma"), map(float, np.exp(lo + u * (hi - lo)))))
+                  for u in _kronecker_points(max(_SCREEN_POINTS, extra))]
+
+    def score(point: dict) -> float:
+        values = {n: point[n] for n in space.positive}
+        if any(math.log(v) > _LOG_CAP for n, v in values.items() if n != "nu"):
+            return -math.inf
+        try:
+            with np.errstate(all="ignore"):
+                ll = _profile_loglik(data, design, space.kernel(values), values["sigma"], None, buf)[0]
+        except _EVAL_ERRORS:
+            return -math.inf
+        return ll if np.isfinite(ll) else -math.inf
+
+    scores = [score(c) for c in candidates]
+    best = sorted(range(len(candidates)), key=lambda i: -scores[i])[:extra]  # stable: ties by index
+    return starts + [candidates[i] for i in best]
+
+
 def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions | None = None) -> FitResult:
     """Maximize the marginal likelihood over (beta, alpha, rho[, nu], sigma).
 
     Multi-start L-BFGS-B in log coordinates on the closed-form profile
     gradient, with the mean coefficients profiled out, alpha, rho and sigma
     boxed below 1e8 and alpha above 1e-100; the reported optimum is never
-    below the objective at any start point.  An RQ fit whose nu diverges
+    below the objective at any start point.  The starts are _start_points':
+    the default, opts.warm_theta, then the best of the screened Kronecker
+    points, so the fit is a function of its arguments.  An RQ fit whose nu diverges
     past NU_DIVERGENCE is refit under SE and flagged as a substitution.
     """
     if data.n < 3:
@@ -406,7 +456,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
             values = {n: math.exp(v) for n, v in zip(dims, z)}
             with np.errstate(all="ignore"):
                 ll, betas, grad = _profile_mll(data, design, space.kernel(values), values["sigma"], work)
-        except (FactorizationError, ValueError, OverflowError):
+        except _EVAL_ERRORS:
             return None
         if not (np.isfinite(ll) and np.isfinite(grad).all()):
             return None
@@ -431,7 +481,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
 
     start_lls: list[float] = []
     n_failed = 0
-    for start in _start_points(data, space, opts):
+    for start in _start_points(data, space, design, opts, work[0]):
         z0 = np.array([math.log(start[n]) for n in dims])
         f0 = math.inf if np.any(z0 > upper) else objective(z0)[0]
         if not np.isfinite(f0):
@@ -532,7 +582,7 @@ def _log_posterior_fn(data: Dataset, space: _ModelSpace, priors: PriorSpec, fixe
         try:
             theta = space.theta(values)
             ll = Posterior(data, theta).loglik
-        except (FactorizationError, ValueError, OverflowError):
+        except _EVAL_ERRORS:
             return -math.inf
         return lp + ll if np.isfinite(ll) else -math.inf
 

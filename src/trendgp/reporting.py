@@ -288,7 +288,7 @@ def run_fit(data: Dataset, config: AnalysisConfig, data_digest: str) -> TrendRep
 
     selection_info = None
     parsed = config.parsed_model()
-    # no seed: every ML fit of a report starts from FitOptions' one default list, whatever --seed says
+    # no seed: an ML fit's starts are a function of the data and the model, whatever --seed says
     opts = FitOptions(restarts=config.restarts)
     if parsed is None:
         sel = select_model(fit_data, config.candidate_grid(), scheme=config.selection_scheme, opts=opts)

@@ -228,7 +228,7 @@ def test_c7_marginal_likelihood_and_fit_invariant():
         f = sample_paths(prior_joint(truth, ts, blocks=("f",)), 1, seed=seed)[0]
         data = Dataset(ts, f + gen.normal(0, 0.1, 30))
         family = ("SE", "RQ", "M52", "SE")[seed]
-        fit = fit_ml(data, seed % 2, family, FitOptions(restarts=8, seed=seed))
+        fit = fit_ml(data, seed % 2, family, FitOptions(restarts=8))
         assert all(fit.loglik >= s0 - 1e-9 for s0 in fit.start_logliks)
         n_fits += 1
     _report(7, f"100 density-oracle instances (worst rel err {worst:.2e}); "
@@ -312,7 +312,7 @@ def test_c10_model_selection_contract(tmp_path):
     ts = np.linspace(0, 4, 10)
     line = Dataset(ts, 1.0 + 0.5 * ts)
     result = select_model(line, CandidateGrid(degrees=(0, 1), families=("SE",)),
-                          scheme="osa", opts=FitOptions(restarts=6, seed=10))
+                          scheme="osa", opts=FitOptions(restarts=6))
     assert result.winner.degree == 1
     assert result.winner.mspe < 1e-8
 
@@ -340,7 +340,7 @@ def test_c10_model_selection_contract(tmp_path):
     f = sample_paths(prior_joint(truth, ts30, blocks=("f",)), 1, seed=14)[0]
     smooth = Dataset(ts30, f + rng.normal(0, 0.01, 30))
     sel = select_model(smooth, CandidateGrid(degrees=(0,), families=("SE", "RQ")),
-                       opts=FitOptions(restarts=6, seed=2))
+                       opts=FitOptions(restarts=6))
     rq = next(s for s in sel.scores if s.family == "RQ")
     assert rq.substituted_to_se
     assert len(sel.table_rows()) == len(sel.scores) - 1

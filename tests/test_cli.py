@@ -102,8 +102,8 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("case", ["select-small", "fixture-rq-log", "arcsine-near-zero"])
     def test_ml_report_does_not_depend_on_the_seed(self, tmp_path, case):
-        # every ML fit starts from one fixed list and the arcsine_sqrt band is
-        # exact, so --seed reaches the report through its own fields alone
+        # every ML fit's starts are a function of its data and model and the
+        # arcsine_sqrt band is exact, so --seed reaches the report through its own fields alone
         if case == "select-small":  # the select-small benchmark's input for data seed 1
             t = np.linspace(0.0, 1.0, 12)
             noise = np.random.default_rng([1, zlib.crc32(b"select-small")]).standard_normal(12)

@@ -1,12 +1,14 @@
 """Marginal likelihood, ML fitting, the sampler and posterior index summaries."""
 
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from trendgp import estimation, simulation
 from trendgp.estimation import (
     FitError,
     FitOptions,
@@ -16,8 +18,12 @@ from trendgp.estimation import (
     McmcSamples,
     PriorSpec,
     StudentTPrior,
+    _kronecker_points,
     _log_posterior_fn,
+    _ml_workspace,
     _ModelSpace,
+    _profile_loglik,
+    _start_points,
     default_priors,
     fit_bayes,
     fit_ml,
@@ -82,14 +88,14 @@ _AFFINE_CASES = [
 class TestFitMl:
     def test_optimum_dominates_every_start(self, rng):
         data, _ = _simulated(rng)
-        fit = fit_ml(data, 0, "SE", FitOptions(restarts=6, seed=1))
+        fit = fit_ml(data, 0, "SE", FitOptions(restarts=6))
         assert fit.start_logliks
         assert all(fit.loglik >= s - 1e-9 for s in fit.start_logliks)
         assert Posterior(data, fit.theta).loglik == pytest.approx(fit.loglik, rel=1e-9)
 
     def test_translation_invariance(self, rng):
         data, _ = _simulated(rng, n=40)
-        opts = FitOptions(restarts=6, seed=3)
+        opts = FitOptions(restarts=6)
         fit0 = fit_ml(data, 0, "SE", opts)
         shifted = Dataset(data.ts, data.ys + 7.5)
         fit1 = fit_ml(shifted, 0, "SE", opts)
@@ -129,7 +135,7 @@ class TestFitMl:
         reps = 50
         for _ in range(reps):
             data, truth = _simulated(rng, n=100, sigma=0.05, rho=0.25)
-            fit = fit_ml(data, 0, "SE", FitOptions(restarts=4, seed=0))
+            fit = fit_ml(data, 0, "SE", FitOptions(restarts=4))
             if abs(math.log(fit.theta.kernel.rho) - math.log(truth.kernel.rho)) <= math.log(2):
                 hits += 1
         assert hits >= 0.9 * reps
@@ -174,10 +180,90 @@ class TestFitMl:
         ("RQ", 459.35629987501056),
     ])
     def test_reaches_the_reference_optimum_on_the_fixture(self, covid_log, family, reference):
-        fit = fit_ml(covid_log, 0, family, FitOptions(restarts=16, seed=0))
+        fit = fit_ml(covid_log, 0, family, FitOptions(restarts=16))
         assert fit.loglik >= reference - 1e-6
         assert fit.converged
         assert fit.loglik >= max(fit.start_logliks)
+
+    def test_ml_fitting_draws_no_random_number(self, monkeypatch, rng):
+        data, _ = _simulated(rng, n=30)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("an ML fit drew a random number")
+
+        # numpy as estimation sees it, with a default_rng that raises; other modules keep theirs
+        random = types.ModuleType("numpy.random")
+        random.__dict__.update(np.random.__dict__, default_rng=no_rng)
+        numpy = types.ModuleType("numpy")
+        numpy.__dict__.update(np.__dict__, random=random)
+        monkeypatch.setattr(estimation, "np", numpy)
+        assert math.isfinite(fit_ml(data, 0, "SE", FitOptions(restarts=8)).loglik)
+        scenario = simulation.Scenario(n=12, sigma=0.1, reps=1, seed=3, restarts=4, grid_size=21)
+        assert simulation._replicate(scenario, 0, {}) is not None
+
+
+class TestStartPoints:
+    """The ML starts: the default, the warm start, then the screen's best Kronecker points."""
+
+    WARM = _theta(alpha=0.7, rho=0.2, sigma=0.03)
+
+    @staticmethod
+    def _starts(data, degree, family, opts):
+        space = _ModelSpace(degree, family)
+        design = np.vander(data.ts, degree + 1, increasing=True)
+        return _start_points(data, space, design, opts, _ml_workspace(data.n)[0])
+
+    def test_kronecker_base_is_the_root_of_x5_minus_x_minus_1(self):
+        g = estimation._KRONECKER_G
+        assert g > 1.0 and abs(g**5 - g - 1.0) <= 4 * np.finfo(float).eps
+        u = _kronecker_points(3)
+        assert u.shape == (3, 4) and ((u >= 0.0) & (u < 1.0)).all()
+        assert u[0] == pytest.approx([(0.5 + g ** -j) % 1.0 for j in range(1, 5)], rel=1e-15)
+
+    @pytest.mark.parametrize("degree, family", [(0, "SE"), (1, "RQ"), (2, "M52")])
+    @pytest.mark.parametrize("restarts", [3, 8, 40])
+    def test_fixed_starts_first_then_screened_starts_inside_the_box(self, rng, degree, family, restarts):
+        data, _ = _simulated(rng, n=30)
+        starts = self._starts(data, degree, family, FitOptions(restarts=restarts, warm_theta=self.WARM))
+        assert len(starts) == restarts
+        span = data.ts[-1] - data.ts[0]
+        default, warm, *screened = starts
+        assert default["rho"] == span / 4.0 and default["nu"] == 1.0
+        assert default["sigma"] == 0.5 * default["alpha"]
+        assert warm == {"alpha": 0.7, "rho": 0.2, "nu": 1.0, "sigma": 0.03}
+        scale_y = default["alpha"]
+        tol = 1 + 1e-12
+        for s in screened:
+            assert 0.125 * scale_y / tol <= s["alpha"] <= 4.0 * scale_y * tol
+            assert span / 50.0 / tol <= s["rho"] <= 2.0 * span * tol
+            assert 0.1 / tol <= s["nu"] <= 20.0 * tol
+            assert 0.02 * scale_y / tol <= s["sigma"] <= 2.0 * scale_y * tol
+        # the screened starts are the best-scoring points, best first
+        space = _ModelSpace(degree, family)
+        design = np.vander(data.ts, degree + 1, increasing=True)
+
+        def value(s):
+            kernel = space.kernel({n: s[n] for n in space.positive})
+            return _profile_loglik(data, design, kernel, s["sigma"], None, _ml_workspace(data.n)[0])[0]
+
+        values = [value(s) for s in screened]
+        assert values == sorted(values, reverse=True)
+        assert len({tuple(s.values()) for s in screened}) == len(screened)
+
+    def test_fold_refit_starts_run_no_screen(self, monkeypatch, rng):
+        data, _ = _simulated(rng, n=30)
+        calls = []
+        real = estimation._profile_loglik
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(estimation, "_profile_loglik", spy)
+        assert len(self._starts(data, 0, "SE", FitOptions(restarts=2, warm_theta=self.WARM))) == 2
+        assert calls == []
+        self._starts(data, 0, "SE", FitOptions(restarts=3, warm_theta=self.WARM))
+        assert len(calls) == estimation._SCREEN_POINTS
 
 
 class TestPriors:

@@ -411,7 +411,7 @@ class TestOnePath:
         data = Dataset(ts, np.sin(2.0 * ts) + rng.normal(0.0, 0.15, ts.size))
         config = AnalysisConfig(model="0:SE", restarts=2, intervals=((0.0, 2.0), (0.5, 1.25), (1.0, 1.0)))
         report = run_fit(data, config, "digest").payload
-        theta = fit_ml(data, 0, "SE", FitOptions(restarts=2, seed=0)).theta
+        theta = fit_ml(data, 0, "SE", FitOptions(restarts=2)).theta
         grid = np.linspace(0.0, 2.0, 500)
         assert report["grid"] == grid.tolist()
         curves = report["curves"]

@@ -198,14 +198,14 @@ class TestPooledEqualsSerial:
     def test_loo_mspe(self, monkeypatch):
         data = _series(7, 1)
         serial, pooled = _serial_and_pooled(
-            monkeypatch, lambda: loo_mspe(data, 0, "SE", FitOptions(restarts=4, seed=2)))
+            monkeypatch, lambda: loo_mspe(data, 0, "SE", FitOptions(restarts=4)))
         assert _bits(pooled) == _bits(serial)
 
     def test_select_model_osa(self, monkeypatch):
         data = _series(9, 5)
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
         serial, pooled = _serial_and_pooled(
-            monkeypatch, lambda: select_model(data, grid, scheme="osa", opts=FitOptions(restarts=4, seed=2)))
+            monkeypatch, lambda: select_model(data, grid, scheme="osa", opts=FitOptions(restarts=4)))
         assert all(not s.failed for s in serial.scores)
         assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
         assert pooled.winner == serial.winner
@@ -218,7 +218,7 @@ class TestPooledEqualsSerial:
         data = Dataset(ts, 1000.0 * (np.sin(3.0 * np.pi * ts) + 0.6 * ts) + 50.0 * noise)
         grid = CandidateGrid(degrees=(0,), families=("SE", "M52"))
         serial, pooled = _serial_and_pooled(
-            monkeypatch, lambda: select_model(data, grid, opts=FitOptions(restarts=4, seed=1001)))
+            monkeypatch, lambda: select_model(data, grid, opts=FitOptions(restarts=4)))
         assert not any(s.failed or s.screened for s in serial.scores)
         assert pooled.scores == serial.scores
         assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
@@ -296,7 +296,7 @@ def test_ml_fit_is_blas_thread_invariant(blas_threads, n):
     for threads in (1, 2):
         blas_threads(threads)
         ll, betas, grad = _profile_mll(data, design, KernelSpec("M52", 0.8, 0.4), 0.1, _ml_workspace(data.n))
-        fit = fit_ml(data, 1, "RQ", FitOptions(restarts=2, seed=5))
+        fit = fit_ml(data, 1, "RQ", FitOptions(restarts=2))
         k = fit.theta.kernel
         runs.append((_bits([ll, *betas, *grad]),
                      _bits([fit.loglik, k.alpha, k.rho, k.nu, fit.theta.sigma, *fit.theta.mean.coefficients])))

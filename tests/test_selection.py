@@ -15,8 +15,8 @@ from trendgp.selection import CandidateGrid, loo_mspe, osa_mspe, select_model
 from conftest import covid_log_series
 
 
-def _fast_opts(seed=0):
-    return FitOptions(restarts=6, seed=seed)
+def _fast_opts():
+    return FitOptions(restarts=6)
 
 
 class TestLooMspe:
@@ -204,7 +204,7 @@ class TestSelectModel:
         f = sample_paths(prior_joint(truth, ts, blocks=("f",)), 1, seed=14)[0]
         data = Dataset(ts, f + rng.normal(0, 0.01, 30))
         grid = CandidateGrid(degrees=(0,), families=("SE", "RQ"))
-        result = select_model(data, grid, opts=_fast_opts(seed=2))
+        result = select_model(data, grid, opts=_fast_opts())
         rq_score = next(s for s in result.scores if s.family == "RQ")
         assert rq_score.substituted_to_se
         rows = result.table_rows()
@@ -245,7 +245,7 @@ class TestFoldRefitStarts:
 
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
         _cpus(monkeypatch, 1)  # the folds run in this process, where the wrapper sees them
-        opts = FitOptions(restarts=7, seed=4)
+        opts = FitOptions(restarts=7)
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52", "RQ"))
         result = select_model(data, grid, scheme=scheme, opts=opts)
         refit = [s for s in result.scores if not (s.failed or s.screened)]
@@ -335,9 +335,9 @@ class TestOneFoldPool:
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
         _cpus(monkeypatch, 1)
-        serial = select_model(data, grid, opts=_fast_opts(seed=3))
+        serial = select_model(data, grid, opts=_fast_opts())
         pools, runs = self._counted(monkeypatch)
-        pooled = select_model(data, grid, opts=_fast_opts(seed=3))
+        pooled = select_model(data, grid, opts=_fast_opts())
         assert (len(pools), runs) == (1, [9, 3 * 9])
         assert pooled.scores == serial.scores
         for a, b in zip(pooled.scores, serial.scores):
@@ -361,7 +361,7 @@ class TestOneFoldPool:
         """A refit candidate scores `mspe` and a screened one `mspe(fixed_theta=)`
         at its full-data fit, bit for bit; the screen drops exactly the
         candidates whose closed-form score exceeds the leader's refit score."""
-        opts = _fast_opts(seed=1)
+        opts = _fast_opts()
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
         result = select_model(data, grid, scheme=scheme, opts=opts)
         closed = [mspe(data, s.degree, s.family, fixed_theta=s.fit.theta) for s in result.scores]

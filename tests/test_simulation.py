@@ -2,6 +2,7 @@
 
 import math
 import os
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -133,12 +134,13 @@ class TestRunStudy:
     def test_a4_failure_counts_as_failed(self, monkeypatch):
         # A fit whose grid posterior has no positive Var[df] counts as failed.
         # alpha = 1e-170 underflows alpha^2, so Var[df] is 0 on the whole grid;
-        # the fits with an odd restart seed keep their own theta.
+        # the fits of data whose bytes have an odd crc32 keep their own theta
+        # (three of the six replicates below, the first three).
         real = simulation.fit_ml
 
         def fit_ml(data, degree, family, opts):
             fit = real(data, degree, family, opts)
-            if opts.seed % 2:
+            if zlib.crc32(data.ys.tobytes()) % 2:
                 return fit
             k = fit.theta.kernel
             return replace(fit, theta=replace(fit.theta, kernel=replace(k, alpha=1e-170)))
