@@ -5,7 +5,10 @@ Conditioning a GP prior on noisy observations keeps the joint law of
 usual kriging formulas with the covariance replaced by the appropriate
 mixed partial.  `Posterior` factorizes C(t, t) + sigma^2 I once per
 (data, theta); the marginal likelihood and every block, moment and grid
-evaluated under that theta share the one lower-triangular factor.
+evaluated under that theta share the one lower-triangular factor.  The
+covariance is factored as given, with nothing added to its diagonal: one
+that does not factor raises FactorizationError, which the optimizer, the
+MCMC target and model selection count as a failed evaluation.
 
 Every kernel is stationary, so the Gram matrix depends on the times only
 through the lags |t_i - t_j|.  A dataset keeps its distinct lags and the
@@ -28,12 +31,6 @@ from .kernels import KernelSpec, MeanSpec, _stationary_derivs, kernel_eval, kern
 BLOCK_ORDER = ("f", "df", "d2f")
 _DERIV_ORDER = {"f": 0, "df": 1, "d2f": 2}
 
-# Jitter ladder for factorizations that fail without one, in units of
-# alpha^2 (plus sigma^2 where it already sits on the diagonal).  The first
-# rung is the documented 1e-10 * alpha^2 safeguard; later rungs only trigger
-# for genuinely degenerate inputs.
-_JITTERS = (1e-10, 1e-8, 1e-6)
-
 # Doubles in one block of n x (rows or points) work: the lag table's row
 # blocks, and the cap on Posterior.marginal's point blocks.
 _BLOCK_DOUBLES = 2**15
@@ -42,7 +39,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class FactorizationError(RuntimeError):
-    """Covariance factorization failed even after jitter."""
+    """A covariance matrix did not factor as given: it is not positive
+    definite in floating point, or not finite.  Every caller counts it as a
+    failed evaluation."""
 
 
 @dataclass(frozen=True)
@@ -180,26 +179,20 @@ def _resolve_blocks(kernel: KernelSpec, blocks) -> tuple[str, ...]:
     return blocks
 
 
-def _chol(mat: np.ndarray, scale: float, refill) -> np.ndarray:
+def _chol(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the symmetric C-ordered mat, computed in mat's own memory.
 
     LAPACK potrf factors the upper triangle of mat's Fortran view, which is
     mat's own lower triangle, and zeroes the other one, so mat ends up
-    holding the C-ordered lower factor, with no copy.  A failed
-    attempt leaves mat overwritten: each jitter rung has refill(mat) write the
-    matrix again, then adds the rung to its diagonal.  The caller checks mat
-    for finiteness.
+    holding the C-ordered lower factor, with no copy.  mat is factored as
+    given: if it is not positive definite in floating point, FactorizationError
+    names the diagonal where potrf stopped, and mat is left overwritten.  The
+    caller checks mat for finiteness.
     """
-    for jit in (0.0, *_JITTERS):
-        if jit:
-            refill(mat)
-            np.fill_diagonal(mat, mat.diagonal() + jit * scale)
-        upper, info = dpotrf(mat.T, lower=0, overwrite_a=1)
-        if info == 0:
-            return upper.T
-    raise FactorizationError(
-        f"covariance factorization failed after jitter up to {_JITTERS[-1]:g} * scale"
-    )
+    upper, info = dpotrf(mat.T, lower=0, overwrite_a=1)
+    if info != 0:
+        raise FactorizationError(f"covariance factorization failed at diagonal {info - 1}")
+    return upper.T
 
 
 def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | None = None,
@@ -210,8 +203,8 @@ def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | Non
     here unless the caller already holds it), and equals the dense assembly
     bit for bit; its finiteness is checked on those lags, not on n^2 entries.
     It is gathered into out, a C-ordered n x n buffer (a new one without
-    it), which _chol factors in place and regathers for a jitter rung; so a
-    factor holds one n x n array.
+    it), which _chol factors in place; so a factor holds one n x n array.
+    A Gram that does not factor raises FactorizationError.
     """
     lags, index = data.lags
     if k is None:
@@ -219,15 +212,11 @@ def _factor(data: Dataset, kernel: KernelSpec, sigma: float, k: np.ndarray | Non
     noise = sigma**2
     if not (math.isfinite(noise) and np.isfinite(k).all()):
         raise FactorizationError("covariance matrix contains non-finite entries")
-
-    def gather(mat: np.ndarray) -> None:
-        # mode="clip" writes straight into mat; the default "raise" buffers an n x n copy
-        np.take(k, index, out=mat, mode="clip")
-        mat.reshape(-1)[:: data.n + 1] += noise
-
     K = np.empty((data.n, data.n)) if out is None else out
-    gather(K)
-    return _chol(K, kernel.alpha**2, gather)
+    # mode="clip" writes straight into K; the default "raise" buffers an n x n copy
+    np.take(k, index, out=K, mode="clip")
+    K.reshape(-1)[:: data.n + 1] += noise
+    return _chol(K)
 
 
 def _whiten(L: np.ndarray, b: np.ndarray) -> np.ndarray:

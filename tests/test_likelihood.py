@@ -2,12 +2,11 @@
 
 The ML objective, the MCMC target and every posterior moment build the Gram
 matrix from the distinct time lags of one dataset.  These tests pin that
-this changes no bit: the gathered Gram, the factor (jitter rungs included),
-the profile objective and the log likelihood all equal the direct n x n
-computation.
+this changes no bit: the gathered Gram, the factor, the profile objective
+and the log likelihood all equal the direct n x n computation.  A covariance
+that does not factor as given fails on every path alike.
 """
 
-import functools
 import math
 import tracemalloc
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from trendgp.estimation import _ml_workspace, _profile_mll
+from trendgp.estimation import _ml_workspace, _profile_mll, fit_ml
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram, mean_eval
 from trendgp.posterior import Dataset, FactorizationError, Hyperparams, Posterior, _chol, _factor
 
@@ -66,7 +65,7 @@ def _dense(data: Dataset, degree: int, theta: Hyperparams):
     """The dense n x n path: factor, log likelihood, profile objective, GLS betas."""
     n = data.n
     K = kernel_gram(theta.kernel, data.ts, data.ts) + theta.sigma**2 * np.eye(n)
-    L = _chol(K, theta.kernel.alpha**2, functools.partial(np.copyto, src=K.copy()))
+    L = _chol(K)
     logdet = np.sum(np.log(np.diag(L)))
     white = solve_triangular(L, data.ys - mean_eval(theta.mean, 0, data.ts), lower=True)
     loglik = float(-0.5 * n * _LOG_2PI - logdet - 0.5 * white @ white)
@@ -112,30 +111,31 @@ def test_objective_and_loglik_match_dense_reference(ts, kernel, log_sigma, degre
     assert _same_bits(got_betas, betas)
 
 
-def test_jitter_rung_gives_the_dense_factor():
-    # Near-duplicate times without noise: the plain factorization fails and a
-    # jitter rung has to fire, on both paths alike.
+def test_singular_covariance_fails_on_every_path():
+    # Near-duplicate times without noise: the Gram is singular in floating
+    # point, and every path that factors it raises instead of factoring some
+    # nearby matrix.  The ML fit counts such points as failed evaluations and
+    # returns an optimum whose covariance factors as given.
     ts = np.array([0.0, 1e-9, 0.4, 0.4 + 1e-9, 0.8, 1.0])
     data = Dataset(ts, np.sin(6.0 * ts))
     kernel = KernelSpec("SE", 1.0, 0.3)
-    theta = Hyperparams(MeanSpec((0.0,)), kernel, 0.0)
-    dense = kernel_gram(kernel, ts, ts) + 0.0 * np.eye(ts.size)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(dense)
-    assert _same_bits(_factor(data, kernel, 0.0),
-                      _chol(dense, kernel.alpha**2, functools.partial(np.copyto, src=dense.copy())))
-    L, loglik, profile, betas = _dense(data, 0, theta)
-    assert _same_bits(Posterior(data, theta).loglik, loglik)
-    design = np.vander(ts, 1, increasing=True)
-    got_profile, got_betas, _ = _profile_mll(data, design, kernel, 0.0, _ml_workspace(data.n))
-    assert _same_bits(got_profile, profile)
-    assert _same_bits(got_betas, betas)
+        np.linalg.cholesky(kernel_gram(kernel, ts, ts))
+    with pytest.raises(FactorizationError, match="failed at diagonal"):
+        _factor(data, kernel, 0.0)
+    with pytest.raises(FactorizationError):
+        Posterior(data, Hyperparams(MeanSpec((0.0,)), kernel, 0.0))
+    with pytest.raises(FactorizationError):
+        _profile_mll(data, np.vander(ts, 1, increasing=True), kernel, 0.0, _ml_workspace(data.n))
+    fit = fit_ml(data)
+    assert math.isclose(Posterior(data, fit.theta).loglik, fit.loglik, rel_tol=1e-9)
 
 
 def test_reused_ml_workspace_gives_the_bits_of_fresh_buffers():
     # A sequence of evaluations through one workspace, as fit_ml makes them,
-    # with a jitter rung part-way through: the rung regathers into the
-    # workspace, and no evaluation sees what an earlier one left there.
+    # with two singular covariances part-way through: each fails on the
+    # reused and a fresh workspace alike and leaves the workspace half
+    # factored, and no later evaluation sees what an earlier one left there.
     ts = np.array([0.0, 1e-9, 0.15, 0.4, 0.4 + 1e-9, 0.55, 0.8, 1.0])
     data = Dataset(ts, np.sin(6.0 * ts))
     design = np.vander(ts, 2, increasing=True)
@@ -143,13 +143,17 @@ def test_reused_ml_workspace_gives_the_bits_of_fresh_buffers():
              (KernelSpec("RQ", 0.7, 0.2, 1.5), 0.05), (KernelSpec("SE", 1.3, 0.5), 0.0),
              (KernelSpec("SE", 0.4, 0.1), 0.3)]
     work = _ml_workspace(data.n)
-    rungs = 0
+    failures = 0
     for kernel, sigma in steps:
         dense = kernel_gram(kernel, ts, ts) + sigma**2 * np.eye(ts.size)
         try:
             np.linalg.cholesky(dense)
         except np.linalg.LinAlgError:
-            rungs += 1
+            failures += 1
+            for buffers in (work, _ml_workspace(data.n)):
+                with pytest.raises(FactorizationError):
+                    _profile_mll(data, design, kernel, sigma, buffers)
+            continue
         reused = _profile_mll(data, design, kernel, sigma, work)
         fresh = _profile_mll(data, design, kernel, sigma, _ml_workspace(data.n))
         assert _same_bits([reused[0], *reused[1], *reused[2]], [fresh[0], *fresh[1], *fresh[2]])
@@ -157,22 +161,28 @@ def test_reused_ml_workspace_gives_the_bits_of_fresh_buffers():
         assert _same_bits([reused[0], *reused[1]], [profile, *betas])
         # syrk and syr write the upper triangle only; the gradient sums the whole buffer
         assert not np.tril(work[1], -1).any()
-    assert rungs == 2
+    assert failures == 2
 
 
 @pytest.mark.parametrize(
-    "ts, sigma",
+    "ts, sigma, singular",
     [
-        # near-duplicate times without noise: a jitter rung fires
-        (np.array([0.0, 1e-9, 0.4, 0.4 + 1e-9, 0.8, 1.0]), 0.0),
+        # near-duplicate times without noise: neither path factors it
+        (np.array([0.0, 1e-9, 0.4, 0.4 + 1e-9, 0.8, 1.0]), 0.0, True),
         # the empty dataset that prior_joint conditions on
-        (np.empty(0), 0.1),
+        (np.empty(0), 0.1, False),
     ],
-    ids=["jitter-rung", "empty"],
+    ids=["singular", "empty"],
 )
-def test_posterior_factor_and_loglik_match_dense_reference(ts, sigma):
+def test_posterior_factor_and_loglik_match_dense_reference(ts, sigma, singular):
     data = Dataset(ts, np.sin(6.0 * ts))
     theta = Hyperparams(MeanSpec((0.2,)), KernelSpec("SE", 1.0, 0.3), sigma)
+    if singular:
+        with pytest.raises(FactorizationError):
+            _dense(data, 0, theta)
+        with pytest.raises(FactorizationError):
+            Posterior(data, theta)
+        return
     L, loglik, _, _ = _dense(data, 0, theta)
     post = Posterior(data, theta)
     assert _same_bits(post.chol, L)
