@@ -228,16 +228,16 @@ def _gls(Xw: np.ndarray, yw: np.ndarray) -> np.ndarray:
 
     LAPACK gelsd, called as np.linalg.lstsq(Xw, yw, rcond=None) calls it:
     singular values cut off below eps * max(m, p) times the largest, optimal
-    workspace.  A non-finite design or a failed SVD raises ValueError, as
-    lstsq's LinAlgError does; a non-finite response gives non-finite
-    coefficients.
+    workspace.  Every caller has at least as many rows m as coefficients p:
+    an ML fit needs n >= 3 >= p.  A non-finite design or a failed SVD raises
+    ValueError, as lstsq's LinAlgError does; a non-finite response gives
+    non-finite coefficients.
     """
     if not np.isfinite(Xw).all():
         raise ValueError("whitened design is not finite")
     m, p = Xw.shape
-    b = yw[:, None] if m >= p else np.concatenate([yw, np.zeros(p - m)])[:, None]
     lwork, liwork = _gelsd_work(m, p)
-    x, _, _, info = dgelsd(Xw, b, lwork, liwork, cond=_EPS * max(m, p))
+    x, _, _, info = dgelsd(Xw, yw[:, None], lwork, liwork, cond=_EPS * max(m, p))
     if info != 0:
         raise ValueError(f"least squares SVD did not converge (info {info})")
     return x[:p, 0]
@@ -416,6 +416,53 @@ def _start_points(data: Dataset, space: _ModelSpace, design: np.ndarray, opts: F
     return starts + [candidates[i] for i in best]
 
 
+class _LogObjective:
+    """One candidate's profile log likelihood on one dataset, in the
+    optimizer's coordinates: the logs of the positive parameters, in the
+    order of `space.positive`, boxed by `lower` and `upper`.
+
+    Every evaluation gathers, factors and inverts in the same two buffers
+    (_ml_workspace).  A non-finite mean design raises FitError.
+    """
+
+    def __init__(self, data: Dataset, space: _ModelSpace):
+        self.data, self.space = data, space
+        self.design = np.vander(data.ts, space.degree + 1, increasing=True)
+        if not np.all(np.isfinite(self.design)):
+            raise FitError("the mean design matrix has non-finite entries")
+        # The lag table first, so its transient memory is freed before the
+        # workspace exists.
+        data.lags
+        self.work = _ml_workspace(data.n)
+        dims = space.positive
+        self.lower = np.array([_LOG_ALPHA_FLOOR if n == "alpha" else -np.inf for n in dims])
+        self.upper = np.array([np.inf if n == "nu" else _LOG_CAP for n in dims])
+
+    def values(self, z: np.ndarray) -> dict:
+        """{name: value} of the positive parameters at log parameters z."""
+        return {n: math.exp(v) for n, v in zip(self.space.positive, z)}
+
+    def theta(self, z: np.ndarray, betas) -> Hyperparams:
+        return self.space.theta(dict(zip(self.space.beta_names, betas)) | self.values(z))
+
+    def __call__(self, z: np.ndarray):
+        """(loglik, betas, grad) at log parameters z; None when it fails.
+
+        Line searches probe extreme length-scales, where some kernel terms
+        overflow; such a point is a failed evaluation, not a warning.
+        """
+        try:
+            values = self.values(z)
+            with np.errstate(all="ignore"):
+                ll, betas, grad = _profile_mll(self.data, self.design, self.space.kernel(values),
+                                               values["sigma"], self.work)
+        except _EVAL_ERRORS:
+            return None
+        if not (np.isfinite(ll) and np.isfinite(grad).all()):
+            return None
+        return ll, betas, grad
+
+
 def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions | None = None) -> FitResult:
     """Maximize the marginal likelihood over (beta, alpha, rho[, nu], sigma).
 
@@ -432,35 +479,8 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     opts = opts or FitOptions()
     space = _ModelSpace(degree, family)
     require_order(family, 1)
-    design = np.vander(data.ts, space.degree + 1, increasing=True)
-    if not np.all(np.isfinite(design)):
-        raise FitError("the mean design matrix has non-finite entries")
-    # The lag table first, so its transient memory is freed before the
-    # workspace exists; every evaluation then gathers, factors and inverts in
-    # the same two buffers instead of mapping fresh ones.
-    data.lags
-    work = _ml_workspace(data.n)
-
-    # the optimizer's coordinates: logs of the positive parameters
-    dims = space.positive
-    lower = np.array([_LOG_ALPHA_FLOOR if n == "alpha" else -np.inf for n in dims])
-    upper = np.array([np.inf if n == "nu" else _LOG_CAP for n in dims])
-
-    def evaluate(z: np.ndarray):
-        """(loglik, betas, grad) at log parameters z; None when it fails.
-
-        Line searches probe extreme length-scales, where some kernel terms
-        overflow; such a point is a failed evaluation, not a warning.
-        """
-        try:
-            values = {n: math.exp(v) for n, v in zip(dims, z)}
-            with np.errstate(all="ignore"):
-                ll, betas, grad = _profile_mll(data, design, space.kernel(values), values["sigma"], work)
-        except _EVAL_ERRORS:
-            return None
-        if not (np.isfinite(ll) and np.isfinite(grad).all()):
-            return None
-        return ll, betas, grad
+    evaluate = _LogObjective(data, space)
+    lower, upper = evaluate.lower, evaluate.upper
 
     last: dict = {}  # the latest evaluation: a restart's first call repeats its start
     best: list = []  # [loglik, z, betas, grad] of the best point evaluated so far
@@ -481,8 +501,8 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
 
     start_lls: list[float] = []
     n_failed = 0
-    for start in _start_points(data, space, design, opts, work[0]):
-        z0 = np.array([math.log(start[n]) for n in dims])
+    for start in _start_points(data, space, evaluate.design, opts, evaluate.work[0]):
+        z0 = np.array([math.log(start[n]) for n in space.positive])
         f0 = math.inf if np.any(z0 > upper) else objective(z0)[0]
         if not np.isfinite(f0):
             n_failed += 1
@@ -498,11 +518,10 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     # reports success when a line search ends on a failed evaluation.
     held = ((z_best >= upper) & (grad > 0)) | ((z_best <= lower) & (grad < 0))
     converged = bool(np.max(np.abs(np.where(held, 0.0, grad))) <= _CONVERGED_PGTOL * data.n)
-    values = {n: math.exp(v) for n, v in zip(dims, z_best)}
-    theta = space.theta(dict(zip(space.beta_names, betas)) | values)
+    theta = evaluate.theta(z_best, betas)
 
-    if family == "RQ" and values["nu"] > NU_DIVERGENCE:
-        del work  # the SE refit allocates its own
+    if family == "RQ" and theta.kernel.nu > NU_DIVERGENCE:
+        del evaluate  # the SE refit allocates its own workspace
         return replace(fit_ml(data, degree, "SE", opts), substituted_from="RQ")
     return FitResult(
         theta=theta,

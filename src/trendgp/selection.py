@@ -6,8 +6,12 @@ through time.  Both are lists of (training rows, held-out row) folds
 scored by one engine.  At fixed hyper-parameters the fold errors of either
 scheme follow in closed form from one Cholesky factor, so a selection
 scores every candidate that way first and refits the folds only of the
-candidates that can still win.  The winner minimizes the refit mean squared
-error of prediction, with deterministic tie-breaking toward simpler models.
+candidates that can still win.  A fold refit is one guarded Newton step
+from the full-data optimum (Rad & Maleki 2020, approximate leave-one-out),
+and a two-start L-BFGS-B refit where the guard rejects the step.  The folds
+run one after another in the calling process.  The winner minimizes the
+refit mean squared error of prediction, with deterministic tie-breaking
+toward simpler models.
 """
 
 from __future__ import annotations
@@ -17,14 +21,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .estimation import FitError, FitOptions, FitResult, _ModelSpace, fit_ml
-from .parallel import fork_map, fork_pool
+from .estimation import FitError, FitOptions, FitResult, _LogObjective, _ModelSpace, fit_ml
 from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, marginal_moments
 
 SCHEMES = ("loo", "osa")  # leave-one-out, one-step-ahead
 
 # Tie-break order from fewest to most kernel parameters, then by smoothness.
 _FAMILY_RANK = {"SE": 0, "M52": 1, "M32": 2, "RQ": 3}
+
+# A fold's Newton step: the Hessian is a forward difference of the closed-form
+# gradient with this step in each log coordinate, and an accepted step moves
+# no log coordinate further than the radius.
+_NEWTON_H = 1e-5
+_NEWTON_RADIUS = 0.25
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,8 @@ class CandidateScore:
     # mspe is the closed-form score at the full-data optimum: the folds were
     # not refit, because that score already exceeded the leader's refit score
     screened: bool = False
+    # folds whose Newton step the guard rejected, so they ran the two-start refit
+    fold_fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,26 +109,85 @@ def _folds(n: int, scheme: str, min_train: int = 3) -> list[tuple[np.ndarray, in
     return [(np.arange(k), k) for k in range(min_train, n)]
 
 
-def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: int):
-    """Squared error of predicting row i from the ML refit on the training
-    rows, or the FitError or ValueError of that refit, returned so that one
-    pool can carry the folds of several candidates.  The refit has the model
-    of the full-data optimum and two fixed starts, the default one and that
-    optimum, so it draws no random number."""
-    head = Dataset(data.ts[train], data.ys[train])
-    two_starts = FitOptions(restarts=2, warm_theta=full_theta)
+def _newton_fold(head: Dataset, full_theta: Hyperparams) -> Hyperparams | None:
+    """The fold's optimum as one Newton step from the full-data optimum, or
+    None when the guard rejects the step.
+
+    In fit_ml's log coordinates z, on the fold's profile log likelihood l:
+    the gradient g at z0 = log theta, the Hessian H by forward differences
+    of g (_NEWTON_H), and the step s = -H^-1 g, clipped to fit_ml's box.
+    The step is accepted when -H is positive definite, no coordinate moves
+    further than _NEWTON_RADIUS, and the gain l(z0 + s) - l(z0) is between
+    0.5 and 1.5 times the quadratic model's gain g.s + s.H.s / 2 (a
+    trust-region ratio test, Nocedal & Wright ch. 4).  A full-data optimum
+    on the box's bound, or an evaluation that fails, rejects the step.
+    d + 2 evaluations of l for d log coordinates.
+    """
+    evaluate = _LogObjective(head, _ModelSpace.of(full_theta))
+    values = evaluate.space.values(full_theta)
+    z0 = np.log([values[n] for n in evaluate.space.positive])
+    if np.any(z0 <= evaluate.lower) or np.any(z0 >= evaluate.upper):
+        return None
+    at = evaluate(z0)
+    if at is None:
+        return None
+    ll0, _, g = at
+    hess = np.empty((g.size, g.size))
+    for j in range(g.size):
+        zj = z0.copy()
+        zj[j] += _NEWTON_H
+        out = evaluate(zj)
+        if out is None:
+            return None
+        hess[:, j] = (out[2] - g) / _NEWTON_H
+    hess = 0.5 * (hess + hess.T)
     try:
+        c = np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        return None
+    step = np.linalg.solve(c.T, np.linalg.solve(c, g))
+    step = np.clip(z0 + step, evaluate.lower, evaluate.upper) - z0
+    if np.max(np.abs(step)) > _NEWTON_RADIUS:
+        return None
+    model_gain = g @ step + 0.5 * step @ hess @ step
+    out = evaluate(z0 + step)
+    if out is None or not model_gain > 0 or not 0.5 <= (out[0] - ll0) / model_gain <= 1.5:
+        return None
+    return evaluate.theta(z0 + step, out[1])
+
+
+def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: int) -> tuple[float, bool]:
+    """Squared error of predicting row i from the fold's refit on the training
+    rows, and whether the refit fell back from the Newton step.
+
+    The refit is `_newton_fold`'s step from the full-data optimum; where the
+    guard rejects it, an ML fit with the model of that optimum from two fixed
+    starts, the default one and that optimum.  Either way no random number
+    is drawn.  Raises the FitError or ValueError of that fit or prediction.
+    """
+    head = Dataset(data.ts[train], data.ys[train])
+    theta = _newton_fold(head, full_theta)
+    fell_back = theta is None
+    if fell_back:
+        two_starts = FitOptions(restarts=2, warm_theta=full_theta)
         theta = fit_ml(head, full_theta.mean.degree, full_theta.kernel.family, two_starts).theta
-        pred = marginal_moments(head, theta, [data.ts[i]]).mu_f[0]
-    except (FitError, ValueError) as exc:
-        return exc
-    return (data.ys[i] - pred) ** 2
+    pred = marginal_moments(head, theta, [data.ts[i]]).mu_f[0]
+    return (data.ys[i] - pred) ** 2, fell_back
 
 
-def _cv_score(fold_errors: list):
-    """A candidate's mean squared refit fold error, or the error of its first failed fold."""
-    failed = next((e for e in fold_errors if isinstance(e, Exception)), None)
-    return failed if failed is not None else float(np.array(fold_errors).mean())
+def _refit_score(data: Dataset, full_theta: Hyperparams, folds: list) -> tuple[float | Exception, int]:
+    """A candidate's mean squared fold error over its refit folds, or the
+    FitError or ValueError of its first failed fold, where the folds stop;
+    and the number of folds run that fell back to the two-start refit."""
+    errors, fallbacks = [], 0
+    for train, i in folds:
+        try:
+            error, fell_back = _fold_error(data, full_theta, train, i)
+        except (FitError, ValueError) as exc:
+            return exc, fallbacks
+        errors.append(error)
+        fallbacks += fell_back
+    return float(np.array(errors).mean()), fallbacks
 
 
 def _fixed_theta_mspe(data: Dataset, theta: Hyperparams, scheme: str, folds: list) -> float:
@@ -150,8 +220,7 @@ def _mspe(data: Dataset, scheme: str, folds: list, degree: int, family: str, opt
     """One candidate's mean squared error over the given folds; raises its first fold error."""
     if fixed_theta is not None:
         return _fixed_theta_mspe(data, fixed_theta, scheme, folds)
-    theta = fit_ml(data, degree, family, opts).theta
-    score = _cv_score(fork_map(_fold_error, [(data, theta, train, i) for train, i in folds]))
+    score, _ = _refit_score(data, fit_ml(data, degree, family, opts).theta, folds)
     if isinstance(score, Exception):
         raise score
     return score
@@ -166,14 +235,15 @@ def loo_mspe(
 ) -> float:
     """Leave-one-out mean squared error of prediction.
 
-    Each fold refits the ML optimum without observation i, from the default
-    start and the full-data fit (which `opts` sets), and predicts the latent
-    mean at t_i.  The folds run in forked workers (`fork_map`), and a
-    candidate that `select_model` refits gets this score bit for bit.  With
-    `fixed_theta` the given hyper-parameters hold in every fold, and the
-    score follows in closed form from one factor (GPML eq. 5.12), with no
-    fit and no pool; a candidate that `select_model` screens out gets that
-    score at its full-data optimum, bit for bit.
+    Each fold refits the ML optimum without observation i from the full-data
+    fit (which `opts` sets): one guarded Newton step, or where the guard
+    rejects it a two-start refit (`_fold_error`).  It then predicts the
+    latent mean at t_i.  The folds run one after another in this process,
+    and a candidate that `select_model` refits gets this score bit for bit.
+    With `fixed_theta` the given hyper-parameters hold in every fold, and
+    the score follows in closed form from one factor (GPML eq. 5.12), with
+    no fit; a candidate that `select_model` screens out gets that score at
+    its full-data optimum, bit for bit.
     """
     return _mspe(data, "loo", _folds(data.n, "loo"), degree, family, opts, fixed_theta)
 
@@ -191,13 +261,14 @@ def osa_mspe(
     For each k from min_train to n-1 the model is fit on the first k points
     and predicts point k+1, yielding exactly n - min_train residuals.  Each
     fold's refit sees only its first k points but, as a leave-one-out fold
-    does, starts from the default start and the full-data optimum, which
-    `opts` sets.  The folds run in forked workers.  With `fixed_theta` the
-    given hyper-parameters hold in every fold, and the residuals follow in
-    closed form from one factor (the prediction-error decomposition), with
-    no fit and no pool.  With the default min_train, `select_model` gives a
-    refit candidate the first score and a screened one the second, at its
-    full-data optimum, bit for bit.
+    does, steps from the full-data optimum, which `opts` sets, and falls
+    back to a two-start refit where the guard rejects the step.  The folds
+    run one after another in this process.  With `fixed_theta` the given
+    hyper-parameters hold in every fold, and the residuals follow in closed
+    form from one factor (the prediction-error decomposition), with no fit.
+    With the default min_train, `select_model` gives a refit candidate the
+    first score and a screened one the second, at its full-data optimum,
+    bit for bit.
     """
     return _mspe(data, "osa", _folds(data.n, "osa", min_train), degree, family, opts, fixed_theta)
 
@@ -212,14 +283,16 @@ def select_model(
 
     Each candidate is fit on the full data with `opts` and scored in closed
     form with that optimum held fixed in every fold.  The leader, the
-    lowest such score, has its folds refit first, each from the default
-    start and the full-data optimum.  Every other candidate whose
-    closed-form score is at most the leader's refit score is refit next,
-    in the same workers of one `fork_pool`.  The full-data optimum has seen
-    each held-out point, so a closed-form score is optimistic: a candidate
-    whose score already exceeds the leader's refit score is not expected to
-    win.  It keeps that score and is marked `screened`.  If a fold of the
-    leader fails, every other candidate is refit.
+    lowest such score, has its folds refit first, each by a guarded Newton
+    step from the full-data optimum or, where the guard rejects the step, a
+    two-start refit; `fold_fallbacks` counts the latter.  Every other
+    candidate whose closed-form score is at most the leader's refit score
+    is refit next.  The full-data optimum has seen each held-out point, so
+    a closed-form score is optimistic: a candidate whose score already
+    exceeds the leader's refit score is not expected to win.  It keeps that
+    score and is marked `screened`.  If a fold of the leader fails, every
+    other candidate is refit.  Everything runs in this process: at a few
+    evaluations per fold a forked pool costs more than it saves.
 
     Ties break toward fewer parameters, then toward the simpler family.
     RQ candidates whose nu diverged are scored as their SE refit and marked.
@@ -244,25 +317,23 @@ def select_model(
     def sort_key(s: CandidateScore):
         return (s.mspe, len(_ModelSpace(s.degree, s.family).names), _FAMILY_RANK[s.family], s.degree)
 
-    # The fold jobs of every fitted candidate in closed-form order, the leader's first
+    # The candidates in closed-form order: the leader's folds are refit first,
+    # and a leader whose folds all refit screens the candidates it beats in
+    # closed form.  The rest are refit.
+    bound = np.inf
     order = sorted((k for k, s in enumerate(scores) if not s.failed), key=lambda k: sort_key(scores[k]))
-    m = len(folds)
-    jobs = [(data, scores[k].fit.theta, train, i) for k in order for train, i in folds]
-    with fork_pool(_fold_error, jobs) as run:
-        def refit(ps) -> None:  # positions in `order`
-            errors = run([p * m + j for p in ps for j in range(m)])
-            for p, lo in zip(ps, range(0, len(errors), m)):
-                k, mspe = order[p], _cv_score(errors[lo : lo + m])
-                scores[k] = (replace(scores[k], mspe=None, failed=True, error=str(mspe), fit=None)
-                             if isinstance(mspe, Exception) else replace(scores[k], mspe=mspe))
-
-        positions = range(len(order))
-        refit(positions[:1])
-        # a leader whose folds all refit screens the candidates it beats in closed form
-        bound = scores[order[0]].mspe if order and not scores[order[0]].failed else np.inf
-        for k in order[1:]:
-            scores[k] = replace(scores[k], screened=scores[k].mspe > bound)
-        refit([p for p in positions[1:] if not scores[order[p]].screened])
+    for p, k in enumerate(order):
+        if scores[k].mspe > bound:
+            scores[k] = replace(scores[k], screened=True)
+            continue
+        mspe, fallbacks = _refit_score(data, scores[k].fit.theta, folds)
+        score = replace(scores[k], fold_fallbacks=fallbacks)
+        if isinstance(mspe, Exception):
+            scores[k] = replace(score, mspe=None, failed=True, error=str(mspe), fit=None)
+        else:
+            scores[k] = replace(score, mspe=mspe)
+            if p == 0:
+                bound = mspe
     refitted = [s for s in scores if not (s.failed or s.screened)]
     if not refitted:
         raise FitError("every candidate model failed to fit")

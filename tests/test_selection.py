@@ -1,15 +1,14 @@
 """Cross-validated model selection."""
 
-import contextlib
 import os
 
 import numpy as np
 import pytest
 
 from trendgp import selection
-from trendgp.estimation import FitError, FitOptions
+from trendgp.estimation import FitError, FitOptions, _LogObjective, _ModelSpace
 from trendgp.kernels import KernelSpec, MeanSpec, kernel_gram
-from trendgp.posterior import Dataset, Hyperparams
+from trendgp.posterior import Dataset, Hyperparams, marginal_moments
 from trendgp.selection import CandidateGrid, loo_mspe, osa_mspe, select_model
 
 from conftest import covid_log_series
@@ -84,8 +83,6 @@ class TestOsaMspe:
         data = Dataset(ts, rng.normal(0, 1, n))
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 1.0), 0.5)
         # with a fixed theta the score is the mean of exactly n - min_train errors
-        from trendgp.posterior import marginal_moments
-
         errs = []
         for k in range(min_train, n):
             head = Dataset(data.ts[:k], data.ys[:k])
@@ -104,7 +101,6 @@ class TestOsaMspe:
         ts = np.sort(rng.uniform(0, 3, 5))
         data = Dataset(ts, rng.normal(0, 1, 5))
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 1.0), 0.5)
-        from trendgp.posterior import marginal_moments
 
         head = Dataset(data.ts[:4], data.ys[:4])
         pred = marginal_moments(head, theta, [data.ts[4]]).mu_f[0]
@@ -151,12 +147,12 @@ class TestFixedThetaClosedForm:
             errs.append((data.ys[i] - pred) ** 2)
         assert got == pytest.approx(float(np.mean(errs)), rel=1e-8)
 
-    def test_no_fit_and_no_pool(self, monkeypatch):
+    def test_no_fit_and_no_fold_refit(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("fit_ml or fork_map called")
+            raise AssertionError("fit_ml or _fold_error called")
 
         monkeypatch.setattr(selection, "fit_ml", refuse)
-        monkeypatch.setattr(selection, "fork_map", refuse)
+        monkeypatch.setattr(selection, "_fold_error", refuse)
         data = _wiggle()
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 1.0), 0.3)
         assert loo_mspe(data, 0, "SE", fixed_theta=theta) > 0
@@ -222,132 +218,180 @@ def _wiggle(n=9, seed=5):
     return Dataset(ts, np.sin(2.0 * ts) + rng.normal(0.0, 0.2, n))
 
 
+def _exp_climb(n=16, seed=3):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 3.0, n)
+    return Dataset(ts, np.exp(ts) + rng.normal(0.0, 0.01, n))
+
+
 def _ramp(n=9, seed=1):
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 3.0, n)
     return Dataset(ts, 2.0 * ts + 0.3 * np.sin(2.0 * ts) + rng.normal(0.0, 0.1, n))
 
 
-class TestFoldRefitStarts:
-    """Every fold refit starts from the default start and its candidate's
-    full-data optimum, whatever restarts and seed the full-data fits get."""
+class TestNewtonFold:
+    """A fold refit is one guarded Newton step from the full-data optimum, or
+    the two-start refit where the guard rejects the step."""
+
+    @staticmethod
+    def _reject_every_step(monkeypatch):
+        # no step is shorter than radius 0 and also gains, so every fold falls back
+        monkeypatch.setattr(selection, "_NEWTON_RADIUS", 0.0)
 
     @pytest.mark.parametrize("scheme", ["loo", "osa"])
-    def test_every_fold_refit_runs_two_starts(self, monkeypatch, scheme):
+    def test_a_rejected_step_refits_from_two_starts_bit_for_bit(self, monkeypatch, scheme):
+        # the fold error of a rejected step is the two-start refit's prediction error
         data = _wiggle()
-        starts = []  # (rows, starts run) of each fit_ml call
+        full = selection.fit_ml(data, 0, "M52", FitOptions(restarts=7)).theta
+        wants = []
+        for train, i in selection._folds(data.n, scheme):
+            head = Dataset(data.ts[train], data.ys[train])
+            fit = selection.fit_ml(head, 0, "M52", FitOptions(restarts=2, warm_theta=full))
+            assert len(fit.start_logliks) + fit.n_failed_restarts == 2
+            wants.append((data.ys[i] - marginal_moments(head, fit.theta, [data.ts[i]]).mu_f[0]) ** 2)
+
+        self._reject_every_step(monkeypatch)
+        starts = []  # starts run by each fit_ml call
         real = selection.fit_ml
 
         def fit_ml(d, degree, family, opts=None):
             fit = real(d, degree, family, opts)
-            starts.append((d.n, len(fit.start_logliks) + fit.n_failed_restarts))
+            starts.append(len(fit.start_logliks) + fit.n_failed_restarts)
             return fit
 
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
-        _cpus(monkeypatch, 1)  # the folds run in this process, where the wrapper sees them
-        opts = FitOptions(restarts=7)
-        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52", "RQ"))
-        result = select_model(data, grid, scheme=scheme, opts=opts)
-        refit = [s for s in result.scores if not (s.failed or s.screened)]
-        mspe = loo_mspe if scheme == "loo" else osa_mspe
-        for s in refit:
-            mspe(data, s.degree, s.family, opts=opts)
-        n_folds = len(selection._folds(data.n, scheme))
-        fold_starts = [k for n, k in starts if n < data.n]
-        assert len(fold_starts) == 2 * len(refit) * n_folds
-        assert set(fold_starts) == {2}
-        assert {k for n, k in starts if n == data.n} == {7}
+        for (train, i), want in zip(selection._folds(data.n, scheme), wants):
+            error, fell_back = selection._fold_error(data, full, train, i)
+            assert fell_back
+            assert np.asarray(error).tobytes() == np.asarray(want).tobytes()
+        assert starts == [2] * len(wants)
 
-
-class TestOneFoldPool:
-    """A selection forks one pool: it runs the leader's folds, then, in the
-    same workers, the survivors' folds when there are any."""
-
-    def test_one_pool_per_loo_selection(self, monkeypatch):
-        # 1:SE leads, 0:SE survives the screen, both M52 candidates are screened out
-        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0, 1))
-        assert (pools, runs) == (1, [9, 9])
-        assert [s.screened for s in result.scores] == [False, True, False, True]
-        assert not any(s.failed for s in result.scores)
-        # with no survivor the second run refits nothing
-        pools, runs, result = self._pools_and_runs(monkeypatch, "loo", degrees=(0,))
-        assert (pools, runs) == (1, [9, 0])
-        assert [s.screened for s in result.scores] == [False, True]
-        assert not any(s.failed for s in result.scores)
-
-    def test_one_pool_per_osa_selection(self, monkeypatch):
-        # one-step-ahead folds hold out rows 3 to n - 1; no candidate is screened
-        pools, runs, result = self._pools_and_runs(monkeypatch, "osa", degrees=(0, 1))
-        assert (pools, runs) == (1, [9 - 3, 3 * (9 - 3)])
-        assert not any(s.screened or s.failed for s in result.scores)
-
-    @classmethod
-    def _pools_and_runs(cls, monkeypatch, scheme, degrees):
-        """ProcessPoolExecutor constructions, the length of each `run`, and the result of one selection."""
-        pools, runs = cls._counted(monkeypatch)
+    @pytest.mark.parametrize("scheme", ["loo", "osa"])
+    def test_fold_fallbacks_count_the_rejected_steps(self, monkeypatch, scheme):
         data = _wiggle()
-        grid = CandidateGrid(degrees=degrees, families=("SE", "M52"))
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        n_folds = len(selection._folds(data.n, scheme))
         result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
-        assert data.n == 9
-        return len(pools), runs, result
+        assert all(0 <= s.fold_fallbacks <= n_folds for s in result.scores)
+        self._reject_every_step(monkeypatch)
+        result = select_model(data, grid, scheme=scheme, opts=_fast_opts())
+        for s in result.scores:
+            assert not s.failed
+            assert s.fold_fallbacks == (0 if s.screened else n_folds)
 
-    @staticmethod
-    def _counted(monkeypatch):
-        """Two CPUs, and the lists that collect each ProcessPoolExecutor's arguments and each `run`'s length."""
+    @pytest.mark.parametrize("degree, family", [(0, "SE"), (1, "M52"), (0, "RQ")])
+    def test_an_accepted_step_gains_within_the_radius(self, degree, family):
+        # RQ on an exponential climb keeps a finite nu: four log coordinates
+        data = _exp_climb() if family == "RQ" else _wiggle(n=14, seed=2)
+        full = selection.fit_ml(data, degree, family, _fast_opts()).theta
+        assert full.kernel.family == family
+        space = _ModelSpace.of(full)
+        z0 = np.log([space.values(full)[n] for n in space.positive])
+        accepted = 0
+        for train, _ in selection._folds(data.n, "loo"):
+            head = Dataset(data.ts[train], data.ys[train])
+            theta = selection._newton_fold(head, full)
+            if theta is None:
+                continue
+            accepted += 1
+            evaluate = _LogObjective(head, space)
+            z = np.log([space.values(theta)[n] for n in space.positive])
+            assert np.max(np.abs(z - z0)) <= selection._NEWTON_RADIUS
+            assert evaluate(z)[0] > evaluate(z0)[0]
+            # the step's mean coefficients are the GLS ones at its kernel and noise
+            assert theta.mean.coefficients == evaluate(z)[1]
+        assert accepted >= data.n // 2
+
+    @pytest.mark.parametrize("shift, accepted", [(0.0, True), (-1.0, False), (1.0, False)])
+    def test_the_gain_ratio_guards_the_step(self, monkeypatch, shift, accepted):
+        # The value at the step is moved by `shift` nats.  The step gains about
+        # 0.02 nats on this fold, so a 1-nat error in either direction takes
+        # the ratio far out of [0.5, 1.5].
+        data = _wiggle(n=14, seed=2)
+        full = selection.fit_ml(data, 0, "SE", _fast_opts()).theta
+        head = Dataset(data.ts[1:], data.ys[1:])
+        calls = []
+        real = _LogObjective.__call__
+
+        def shifted(self, z):
+            out = real(self, z)
+            calls.append(z)
+            if len(calls) == 5:  # value and gradient, three differences, then the step
+                out = (out[0] + shift, *out[1:])
+            return out
+
+        monkeypatch.setattr(_LogObjective, "__call__", shifted)
+        assert (selection._newton_fold(head, full) is not None) == accepted
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e-100], ids=["cap", "floor"])
+    def test_an_optimum_on_the_box_bound_falls_back(self, monkeypatch, alpha):
+        # alpha at fit_ml's cap or floor: the step is rejected before any evaluation
+        def refuse(self, z):
+            raise AssertionError("the likelihood was evaluated")
+
+        monkeypatch.setattr(_LogObjective, "__call__", refuse)
+        data = _wiggle()
+        theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", alpha, 1.0), 0.3)
+        assert selection._newton_fold(Dataset(data.ts[1:], data.ys[1:]), theta) is None
+
+    def test_selection_constructs_no_process_pool(self, monkeypatch):
         import concurrent.futures
 
-        pools, runs = [], []
-        real_executor, real_pool = concurrent.futures.ProcessPoolExecutor, selection.fork_pool
-
-        class Counted(real_executor):
+        class Refused(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
-
-        @contextlib.contextmanager
-        def fork_pool(fn, items):
-            with real_pool(fn, items) as run:
-                def counted(indices):
-                    runs.append(len(indices))
-                    return run(indices)
-
-                yield counted
+                raise AssertionError("a process pool was constructed")
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        monkeypatch.setattr(selection, "fork_pool", fork_pool)
-        return pools, runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+        data = _wiggle()
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        for scheme in ("loo", "osa"):
+            assert not any(s.failed for s in select_model(data, grid, scheme=scheme, opts=_fast_opts()).scores)
+        assert loo_mspe(data, 0, "SE", _fast_opts()) > 0
+        assert osa_mspe(data, 0, "SE", opts=_fast_opts()) > 0
 
-    def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
+
+class TestFoldRefits:
+    def test_a_failing_leader_refits_every_other_candidate(self, monkeypatch):
         # the leader, 1:SE, fails its refits in the folds that leave out
         # observations 2 and 5: it reports the first of them, and every other
-        # candidate is refit, the M52 ones that the screen would drop included,
-        # in the one pool the leader's folds ran in
+        # candidate is refit, the M52 ones that the screen would drop included
         data = _wiggle()
-        real = selection.fit_ml
+        real_fit, real_step = selection.fit_ml, selection._newton_fold
+
+        def missing(d):
+            return [i for i, t in enumerate(data.ts) if t not in d.ts]
+
+        def fails(d, degree, family):
+            return (degree, family) == (1, "SE") and missing(d) and missing(d)[0] in (2, 5)
 
         def fit_ml(d, degree, family, opts):
-            missing = [i for i, t in enumerate(data.ts) if t not in d.ts]
-            if (degree, family) == (1, "SE") and missing and missing[0] in (2, 5):
-                raise FitError(f"no SE fit without observation {missing[0]}")
-            return real(d, degree, family, opts)
+            if fails(d, degree, family):
+                raise FitError(f"no SE fit without observation {missing(d)[0]}")
+            return real_fit(d, degree, family, opts)
+
+        def newton_fold(head, full_theta):
+            # the failing folds reject the step, so they run the refit that fails
+            return None if fails(head, full_theta.mean.degree, full_theta.kernel.family) else real_step(head, full_theta)
 
         monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        monkeypatch.setattr(selection, "_newton_fold", newton_fold)
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
-        _cpus(monkeypatch, 1)
-        serial = select_model(data, grid, opts=_fast_opts())
-        pools, runs = self._counted(monkeypatch)
-        pooled = select_model(data, grid, opts=_fast_opts())
-        assert (len(pools), runs) == (1, [9, 3 * 9])
-        assert pooled.scores == serial.scores
-        for a, b in zip(pooled.scores, serial.scores):
-            assert np.asarray(a.mspe, dtype=float).tobytes() == np.asarray(b.mspe, dtype=float).tobytes()
-        others = list(pooled.scores)
+        result = select_model(data, grid, opts=_fast_opts())
+        others = list(result.scores)
         se = others.pop(2)
         assert se.failed and se.mspe is None and se.fit is None
         assert se.error == "no SE fit without observation 2"
         assert all(not (s.failed or s.screened) and s.fit is not None for s in others)
-        assert pooled.winner == min(others, key=lambda s: s.mspe)
+        assert result.winner == min(others, key=lambda s: s.mspe)
+        # without the failure 1:SE leads in closed form, and the screen drops a candidate
+        monkeypatch.undo()
+        unfailed = select_model(data, grid, opts=_fast_opts())
+        closed = [loo_mspe(data, s.degree, s.family, fixed_theta=s.fit.theta) for s in unfailed.scores]
+        assert int(np.argmin(closed)) == 2
+        assert any(s.screened for s in unfailed.scores)
 
     def test_loo_mspe_equals_the_selection_score(self):
         self._check_scores(_wiggle(), loo_mspe, "loo")
