@@ -445,6 +445,13 @@ class _LogObjective:
     def theta(self, z: np.ndarray, betas) -> Hyperparams:
         return self.space.theta(dict(zip(self.space.beta_names, betas)) | self.values(z))
 
+    def converged(self, z: np.ndarray, grad: np.ndarray) -> bool:
+        """Whether log parameters z with gradient grad are an optimum: no
+        coordinate's projected gradient, zero where the box holds it, exceeds
+        _CONVERGED_PGTOL nats per observation."""
+        held = ((z >= self.upper) & (grad > 0)) | ((z <= self.lower) & (grad < 0))
+        return bool(np.max(np.abs(np.where(held, 0.0, grad))) <= _CONVERGED_PGTOL * self.data.n)
+
     def __call__(self, z: np.ndarray):
         """(loglik, betas, grad) at log parameters z; None when it fails.
 
@@ -516,8 +523,7 @@ def fit_ml(data: Dataset, degree: int = 0, family: str = "SE", opts: FitOptions 
     ll, z_best, betas, grad = best
     # Judged by the projected gradient at the returned point: L-BFGS-B also
     # reports success when a line search ends on a failed evaluation.
-    held = ((z_best >= upper) & (grad > 0)) | ((z_best <= lower) & (grad < 0))
-    converged = bool(np.max(np.abs(np.where(held, 0.0, grad))) <= _CONVERGED_PGTOL * data.n)
+    converged = evaluate.converged(z_best, grad)
     theta = evaluate.theta(z_best, betas)
 
     if family == "RQ" and theta.kernel.nu > NU_DIVERGENCE:

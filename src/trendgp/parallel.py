@@ -1,10 +1,11 @@
 """Independent work units mapped over forked worker processes.
 
-`fork_map` serves the three loops whose iterations share nothing: study
-replicates, MCMC chains and blocks of posterior draws.  Model selection
-forks nothing: a fold refit is a few likelihood evaluations, too little
-work to pay for a fork.  Each unit owns its seed and its data, so the
-results do not depend on which process computes them or in what order.
+`fork_map` serves the loops whose iterations share nothing: study
+replicates, MCMC chains and blocks of posterior draws.  `fork_pool` runs
+one set of units in stages, as a one-step-ahead selection's fold refits
+are run: every stage uses the same workers.  Each unit owns its seed and
+its data, so the results do not depend on which process computes them or
+in what order.
 
 The workers are forked, not spawned: they get the mapped function and its
 items at the fork, as the executor's initializer arguments, unpickled, so
@@ -15,8 +16,9 @@ other.  Then only item indices go to the workers and only results return.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack, contextmanager
 
-# The (fn, items) of a worker's map, set at the fork.  None outside a
+# The (fn, items) of a pool worker's pool, set at the fork.  None outside a
 # worker; inside one, a nested call runs serially.
 _work: tuple | None = None
 
@@ -77,24 +79,39 @@ def _run(i: int):
     return fn(*items[i])
 
 
-def fork_map(fn, items) -> list:
-    """`[fn(*x) for x in items]`, computed by min(CPUs in the affinity mask,
-    len(items)) forked workers.
+@contextmanager
+def fork_pool(fn, items):
+    """Yields `run(indices)`, which returns `[fn(*items[i]) for i in indices]`.
 
-    With one worker, without `fork`, or inside a worker, it computes
+    Every `run` in one `with` block shares the workers forked by the first
+    `run` that can use two: min(CPUs in the affinity mask, its indices).
+    With one worker, without `fork`, or inside a worker, `run` computes
     serially in this process.  An exception raised by `fn` reaches the
     caller with its type and message; a worker that dies raises
     `concurrent.futures.process.BrokenProcessPool`.
     """
+    items, pools = list(items), []  # the executor, once a run can use two workers
+
+    def run(indices) -> list:
+        workers = min(_usable_cpus(), len(indices))
+        if not pools and workers >= 2 and _work is None:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+                # when a worker dies (say, killed for memory) instead of waiting forever.
+                pools.append(stack.enter_context(ProcessPoolExecutor(
+                    workers, multiprocessing.get_context("fork"), initializer=_init_worker, initargs=(fn, items))))
+        if not pools:
+            return [fn(*items[i]) for i in indices]
+        return list(pools[0].map(_run, indices))
+
+    with ExitStack() as stack:
+        yield run
+
+
+def fork_map(fn, items) -> list:
+    """`[fn(*x) for x in items]`: one `fork_pool` and one `run` over every item."""
     items = list(items)
-    workers = min(_usable_cpus(), len(items))
-    if workers >= 2 and _work is None:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            # Unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-            # when a worker dies (say, killed for memory) instead of waiting forever.
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_init_worker, initargs=(fn, items)) as pool:
-                return list(pool.map(_run, range(len(items))))
-    return [fn(*x) for x in items]
+    with fork_pool(fn, items) as run:
+        return run(range(len(items)))

@@ -6,22 +6,25 @@ through time.  Both are lists of (training rows, held-out row) folds
 scored by one engine.  At fixed hyper-parameters the fold errors of either
 scheme follow in closed form from one Cholesky factor, so a selection
 scores every candidate that way first and refits the folds only of the
-candidates that can still win.  A fold refit is one guarded Newton step
-from the full-data optimum (Rad & Maleki 2020, approximate leave-one-out),
-and a two-start L-BFGS-B refit where the guard rejects the step.  The folds
-run one after another in the calling process.  The winner minimizes the
+candidates that can still win.  A fold refit is guarded Newton steps
+from the full-data optimum to the fold's optimum (Rad & Maleki 2020,
+approximate leave-one-out), and a two-start L-BFGS-B refit where the guard
+rejects a step.  Leave-one-out folds run one after another in the calling
+process, one-step-ahead folds in forked workers.  The winner minimizes the
 refit mean squared error of prediction, with deterministic tie-breaking
 toward simpler models.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .estimation import FitError, FitOptions, FitResult, _LogObjective, _ModelSpace, fit_ml
+from .estimation import NU_DIVERGENCE, FitError, FitOptions, FitResult, _LogObjective, _ModelSpace, fit_ml
+from .parallel import fork_pool
 from .posterior import Dataset, FactorizationError, Hyperparams, Posterior, marginal_moments
 
 SCHEMES = ("loo", "osa")  # leave-one-out, one-step-ahead
@@ -29,11 +32,13 @@ SCHEMES = ("loo", "osa")  # leave-one-out, one-step-ahead
 # Tie-break order from fewest to most kernel parameters, then by smoothness.
 _FAMILY_RANK = {"SE": 0, "M52": 1, "M32": 2, "RQ": 3}
 
-# A fold's Newton step: the Hessian is a forward difference of the closed-form
-# gradient with this step in each log coordinate, and an accepted step moves
-# no log coordinate further than the radius.
+# A fold's Newton steps: the Hessian is a forward difference of the
+# closed-form gradient with this step in each log coordinate, accepted steps
+# move no log coordinate further than the radius from the full-data optimum,
+# and a fold that has not converged after this many steps falls back.
 _NEWTON_H = 1e-5
 _NEWTON_RADIUS = 0.25
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class CandidateScore:
     # mspe is the closed-form score at the full-data optimum: the folds were
     # not refit, because that score already exceeded the leader's refit score
     screened: bool = False
-    # folds whose Newton step the guard rejected, so they ran the two-start refit
+    # folds whose Newton steps the guard rejected, so they ran the two-start refit
     fold_fallbacks: int = 0
 
 
@@ -110,57 +115,68 @@ def _folds(n: int, scheme: str, min_train: int = 3) -> list[tuple[np.ndarray, in
 
 
 def _newton_fold(head: Dataset, full_theta: Hyperparams) -> Hyperparams | None:
-    """The fold's optimum as one Newton step from the full-data optimum, or
-    None when the guard rejects the step.
+    """The fold's optimum by guarded Newton steps from the full-data optimum,
+    or None when the guard rejects a step or the steps stop short of it.
 
-    In fit_ml's log coordinates z, on the fold's profile log likelihood l:
-    the gradient g at z0 = log theta, the Hessian H by forward differences
-    of g (_NEWTON_H), and the step s = -H^-1 g, clipped to fit_ml's box.
-    The step is accepted when -H is positive definite, no coordinate moves
-    further than _NEWTON_RADIUS, and the gain l(z0 + s) - l(z0) is between
-    0.5 and 1.5 times the quadratic model's gain g.s + s.H.s / 2 (a
-    trust-region ratio test, Nocedal & Wright ch. 4).  A full-data optimum
-    on the box's bound, or an evaluation that fails, rejects the step.
-    d + 2 evaluations of l for d log coordinates.
+    In fit_ml's log coordinates z, on the fold's profile log likelihood l,
+    from z0 = log theta: while the gradient g at z fails fit_ml's
+    convergence rule, at most _NEWTON_STEPS times, take the Hessian H by
+    forward differences of g (_NEWTON_H) and the step s = -H^-1 g, clipped
+    to fit_ml's box.  A step is accepted when -H is positive definite,
+    z + s lies within _NEWTON_RADIUS of z0 in every coordinate, and the
+    gain l(z + s) - l(z) is between 0.5 and 1.5 times the quadratic
+    model's gain g.s + s.H.s / 2 (a trust-region ratio test, Nocedal &
+    Wright ch. 4).  The result is the first z that meets the convergence
+    rule.  A full-data optimum on the box's bound, an evaluation that
+    fails, or an RQ nu past NU_DIVERGENCE (where fit_ml substitutes SE)
+    rejects the steps.  d + 1 evaluations of l per step for d log
+    coordinates, and one more.
     """
     evaluate = _LogObjective(head, _ModelSpace.of(full_theta))
     values = evaluate.space.values(full_theta)
     z0 = np.log([values[n] for n in evaluate.space.positive])
     if np.any(z0 <= evaluate.lower) or np.any(z0 >= evaluate.upper):
         return None
-    at = evaluate(z0)
+    z, at = z0, evaluate(z0)
+    steps = 0
+    while at is not None and not evaluate.converged(z, at[2]):
+        if steps == _NEWTON_STEPS:
+            return None
+        steps += 1
+        ll, _, g = at
+        hess = np.empty((g.size, g.size))
+        for j in range(g.size):
+            zj = z.copy()
+            zj[j] += _NEWTON_H
+            out = evaluate(zj)
+            if out is None:
+                return None
+            hess[:, j] = (out[2] - g) / _NEWTON_H
+        hess = 0.5 * (hess + hess.T)
+        try:
+            c = np.linalg.cholesky(-hess)
+        except np.linalg.LinAlgError:
+            return None
+        step = np.linalg.solve(c.T, np.linalg.solve(c, g))
+        step = np.clip(z + step, evaluate.lower, evaluate.upper) - z
+        if np.max(np.abs(z + step - z0)) > _NEWTON_RADIUS:
+            return None
+        model_gain = g @ step + 0.5 * step @ hess @ step
+        at = evaluate(z + step)
+        if at is None or not model_gain > 0 or not 0.5 <= (at[0] - ll) / model_gain <= 1.5:
+            return None
+        z = z + step
     if at is None:
         return None
-    ll0, _, g = at
-    hess = np.empty((g.size, g.size))
-    for j in range(g.size):
-        zj = z0.copy()
-        zj[j] += _NEWTON_H
-        out = evaluate(zj)
-        if out is None:
-            return None
-        hess[:, j] = (out[2] - g) / _NEWTON_H
-    hess = 0.5 * (hess + hess.T)
-    try:
-        c = np.linalg.cholesky(-hess)
-    except np.linalg.LinAlgError:
-        return None
-    step = np.linalg.solve(c.T, np.linalg.solve(c, g))
-    step = np.clip(z0 + step, evaluate.lower, evaluate.upper) - z0
-    if np.max(np.abs(step)) > _NEWTON_RADIUS:
-        return None
-    model_gain = g @ step + 0.5 * step @ hess @ step
-    out = evaluate(z0 + step)
-    if out is None or not model_gain > 0 or not 0.5 <= (out[0] - ll0) / model_gain <= 1.5:
-        return None
-    return evaluate.theta(z0 + step, out[1])
+    theta = evaluate.theta(z, at[1])
+    return None if theta.kernel.family == "RQ" and theta.kernel.nu > NU_DIVERGENCE else theta
 
 
 def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: int) -> tuple[float, bool]:
     """Squared error of predicting row i from the fold's refit on the training
-    rows, and whether the refit fell back from the Newton step.
+    rows, and whether the refit fell back from the Newton steps.
 
-    The refit is `_newton_fold`'s step from the full-data optimum; where the
+    The refit is `_newton_fold`'s optimum from the full-data one; where the
     guard rejects it, an ML fit with the model of that optimum from two fixed
     starts, the default one and that optimum.  Either way no random number
     is drawn.  Raises the FitError or ValueError of that fit or prediction.
@@ -175,19 +191,26 @@ def _fold_error(data: Dataset, full_theta: Hyperparams, train: np.ndarray, i: in
     return (data.ys[i] - pred) ** 2, fell_back
 
 
-def _refit_score(data: Dataset, full_theta: Hyperparams, folds: list) -> tuple[float | Exception, int]:
-    """A candidate's mean squared fold error over its refit folds, or the
-    FitError or ValueError of its first failed fold, where the folds stop;
-    and the number of folds run that fell back to the two-start refit."""
-    errors, fallbacks = [], 0
-    for train, i in folds:
-        try:
-            error, fell_back = _fold_error(data, full_theta, train, i)
-        except (FitError, ValueError) as exc:
-            return exc, fallbacks
-        errors.append(error)
-        fallbacks += fell_back
-    return float(np.array(errors).mean()), fallbacks
+def _cv_score(fold_results: list) -> tuple[float, int]:
+    """A candidate's mean squared fold error over the `_fold_error` results
+    of its folds, and the number of them that fell back to the two-start refit."""
+    errors, fell_back = zip(*fold_results)
+    return float(np.array(errors).mean()), sum(fell_back)
+
+
+def _fold_runs(scheme: str, jobs: list):
+    """A context that yields `run(indices)`, the `_fold_error` results of
+    those jobs.
+
+    One-step-ahead folds run in forked workers (`fork_pool`): a fold trained
+    on the first k points has its optimum far from the full-data one, so
+    most of them fall back to the two-start refit.  Leave-one-out folds run
+    in this process: most of them take the Newton step, a few likelihood
+    evaluations, less work than a fork costs.
+    """
+    if scheme == "osa":
+        return fork_pool(_fold_error, jobs)
+    return nullcontext(lambda indices: [_fold_error(*jobs[i]) for i in indices])
 
 
 def _fixed_theta_mspe(data: Dataset, theta: Hyperparams, scheme: str, folds: list) -> float:
@@ -220,10 +243,10 @@ def _mspe(data: Dataset, scheme: str, folds: list, degree: int, family: str, opt
     """One candidate's mean squared error over the given folds; raises its first fold error."""
     if fixed_theta is not None:
         return _fixed_theta_mspe(data, fixed_theta, scheme, folds)
-    score, _ = _refit_score(data, fit_ml(data, degree, family, opts).theta, folds)
-    if isinstance(score, Exception):
-        raise score
-    return score
+    theta = fit_ml(data, degree, family, opts).theta
+    jobs = [(data, theta, train, i) for train, i in folds]
+    with _fold_runs(scheme, jobs) as run:
+        return _cv_score(run(range(len(jobs))))[0]
 
 
 def loo_mspe(
@@ -236,8 +259,8 @@ def loo_mspe(
     """Leave-one-out mean squared error of prediction.
 
     Each fold refits the ML optimum without observation i from the full-data
-    fit (which `opts` sets): one guarded Newton step, or where the guard
-    rejects it a two-start refit (`_fold_error`).  It then predicts the
+    fit (which `opts` sets): guarded Newton steps, or where the guard
+    rejects one a two-start refit (`_fold_error`).  It then predicts the
     latent mean at t_i.  The folds run one after another in this process,
     and a candidate that `select_model` refits gets this score bit for bit.
     With `fixed_theta` the given hyper-parameters hold in every fold, and
@@ -262,8 +285,8 @@ def osa_mspe(
     and predicts point k+1, yielding exactly n - min_train residuals.  Each
     fold's refit sees only its first k points but, as a leave-one-out fold
     does, steps from the full-data optimum, which `opts` sets, and falls
-    back to a two-start refit where the guard rejects the step.  The folds
-    run one after another in this process.  With `fixed_theta` the given
+    back to a two-start refit where the guard rejects a step.  The folds
+    run in forked workers (`fork_pool`).  With `fixed_theta` the given
     hyper-parameters hold in every fold, and the residuals follow in closed
     form from one factor (the prediction-error decomposition), with no fit.
     With the default min_train, `select_model` gives a refit candidate the
@@ -283,16 +306,17 @@ def select_model(
 
     Each candidate is fit on the full data with `opts` and scored in closed
     form with that optimum held fixed in every fold.  The leader, the
-    lowest such score, has its folds refit first, each by a guarded Newton
-    step from the full-data optimum or, where the guard rejects the step, a
+    lowest such score, has its folds refit first, each by guarded Newton
+    steps from the full-data optimum or, where the guard rejects a step, a
     two-start refit; `fold_fallbacks` counts the latter.  Every other
     candidate whose closed-form score is at most the leader's refit score
     is refit next.  The full-data optimum has seen each held-out point, so
     a closed-form score is optimistic: a candidate whose score already
     exceeds the leader's refit score is not expected to win.  It keeps that
     score and is marked `screened`.  If a fold of the leader fails, every
-    other candidate is refit.  Everything runs in this process: at a few
-    evaluations per fold a forked pool costs more than it saves.
+    other candidate is refit.  Leave-one-out folds run in this process;
+    one-step-ahead folds, most of which fall back, run in the workers of
+    one `fork_pool`, a `run` per candidate (`_fold_runs`).
 
     Ties break toward fewer parameters, then toward the simpler family.
     RQ candidates whose nu diverged are scored as their SE refit and marked.
@@ -317,21 +341,25 @@ def select_model(
     def sort_key(s: CandidateScore):
         return (s.mspe, len(_ModelSpace(s.degree, s.family).names), _FAMILY_RANK[s.family], s.degree)
 
-    # The candidates in closed-form order: the leader's folds are refit first,
-    # and a leader whose folds all refit screens the candidates it beats in
-    # closed form.  The rest are refit.
+    # The candidates in closed-form order, each with its folds' jobs: the
+    # leader's folds are refit first, and a leader whose folds all refit
+    # screens the candidates it beats in closed form.  The rest are refit,
+    # one `run` each, in the workers of the leader's run.
     bound = np.inf
     order = sorted((k for k, s in enumerate(scores) if not s.failed), key=lambda k: sort_key(scores[k]))
-    for p, k in enumerate(order):
-        if scores[k].mspe > bound:
-            scores[k] = replace(scores[k], screened=True)
-            continue
-        mspe, fallbacks = _refit_score(data, scores[k].fit.theta, folds)
-        score = replace(scores[k], fold_fallbacks=fallbacks)
-        if isinstance(mspe, Exception):
-            scores[k] = replace(score, mspe=None, failed=True, error=str(mspe), fit=None)
-        else:
-            scores[k] = replace(score, mspe=mspe)
+    m = len(folds)
+    jobs = [(data, scores[k].fit.theta, train, i) for k in order for train, i in folds]
+    with _fold_runs(scheme, jobs) as run:
+        for p, k in enumerate(order):
+            if scores[k].mspe > bound:
+                scores[k] = replace(scores[k], screened=True)
+                continue
+            try:
+                mspe, fallbacks = _cv_score(run(range(p * m, (p + 1) * m)))
+            except (FitError, ValueError) as exc:
+                scores[k] = replace(scores[k], mspe=None, failed=True, error=str(exc), fit=None)
+                continue
+            scores[k] = replace(scores[k], mspe=mspe, fold_fallbacks=fallbacks)
             if p == 0:
                 bound = mspe
     refitted = [s for s in scores if not (s.failed or s.screened)]

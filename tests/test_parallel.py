@@ -1,4 +1,4 @@
-"""fork_map, and the pooled loops against their serial runs, bit for bit.
+"""fork_map and fork_pool, and the pooled loops against their serial runs, bit for bit.
 
 The worker count comes from the CPU affinity mask, so the fixtures pin it:
 `two_cpus` forces a pool whatever the machine has, `one_cpu` forces the
@@ -6,6 +6,7 @@ serial loop.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from trendgp.estimation import (
     index_posterior,
 )
 from trendgp.kernels import KernelSpec, MeanSpec
-from trendgp.parallel import _openblas, fork_map
+from trendgp.parallel import _openblas, fork_map, fork_pool
 from trendgp.posterior import Dataset, Hyperparams
 from trendgp.selection import CandidateGrid, loo_mspe, select_model
 from trendgp.simulation import Scenario, run_study
@@ -91,29 +92,6 @@ class TestForkMap:
     def test_empty_items(self, two_cpus):
         assert fork_map(lambda i: i, []) == []
 
-    def test_workers_are_capped_by_the_items(self, monkeypatch):
-        # eight CPUs: one item computes here, three items fork three workers
-        import concurrent.futures
-
-        sizes = []
-
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        _cpus(monkeypatch, 8)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        assert fork_map(lambda i: os.getpid(), [(0,)]) == [os.getpid()] and sizes == []
-        pids = set(fork_map(lambda i: os.getpid(), [(i,) for i in range(3)]))
-        assert sizes == [3]
-        assert len(pids) <= 3 and os.getpid() not in pids
-
-    def test_parent_sets_no_work_global(self, two_cpus):
-        # the workers get (fn, items) at the fork: the parent's global stays unset
-        assert fork_map(lambda i: parallel._work is not None, [(i,) for i in range(4)]) == [True] * 4
-        assert parallel._work is None
-
     def test_wrapped_module_function(self, two_cpus, monkeypatch):
         # An outside-in tracer replaces module functions with closures; the
         # pooled replicate loop must map the wrapper without pickling it.
@@ -129,6 +107,70 @@ class TestForkMap:
         monkeypatch.setattr(simulation, "_replicate", traced)
         assert run_study([scenario]).to_csv() == want
         assert calls == []  # the wrapper ran in the workers, not here
+
+
+class TestForkPool:
+    def test_runs_share_one_set_of_workers(self, two_cpus):
+        with fork_pool(lambda i: (i, os.getpid()), [(i,) for i in range(8)]) as run:
+            first = run(range(4))
+            second = run([7, 5, 6, 4])
+        assert [i for i, _ in first + second] == [0, 1, 2, 3, 7, 5, 6, 4]
+        pids = {pid for _, pid in first + second}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_workers_are_counted_at_the_first_run_that_can_use_two(self, monkeypatch):
+        # eight CPUs: a one-index run computes here, the next run forks three
+        # workers, and a six-index run after it reuses those three
+        import concurrent.futures
+
+        sizes = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        _cpus(monkeypatch, 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        with fork_pool(lambda i: os.getpid(), [(i,) for i in range(6)]) as run:
+            assert run([0]) == [os.getpid()] and sizes == []
+            pids = set(run([1, 2, 3]) + run(range(6)))
+        assert sizes == [3]
+        assert len(pids) <= 3 and os.getpid() not in pids
+
+    def test_one_cpu_runs_serially(self, one_cpu):
+        with fork_pool(lambda i: (i, os.getpid()), [(i,) for i in range(4)]) as run:
+            assert run([2, 0]) == [(2, os.getpid()), (0, os.getpid())]
+            assert run([3]) == [(3, os.getpid())]
+
+    def test_nested_pool_runs_serially_in_the_worker(self, two_cpus):
+        def outer(i):
+            with fork_pool(lambda j: os.getpid(), [(j,) for j in range(3)]) as run:
+                return os.getpid(), run(range(3)) + run([0])
+
+        for pid, inner in fork_map(outer, [(i,) for i in range(3)]):
+            assert pid != os.getpid()
+            assert inner == [pid] * 4
+
+    def test_worker_exception_reaches_caller(self, two_cpus):
+        def unit(i):
+            if i == 3:
+                raise McmcError(f"chain {i} failed")
+            return i
+
+        with fork_pool(unit, [(i,) for i in range(4)]) as run:
+            assert run([0, 1]) == [0, 1]
+            with pytest.raises(McmcError, match=r"^chain 3 failed$"):
+                run([2, 3])
+
+    def test_parent_sets_no_work_global(self, two_cpus):
+        # the workers get (fn, items) at the fork: the parent's global stays unset
+        with fork_pool(lambda i: parallel._work is not None, [(i,) for i in range(4)]) as run:
+            assert run(range(2)) == [True, True]
+            assert parallel._work is None
+            assert run(range(2, 4)) == [True, True]
+        assert parallel._work is None
+        assert fork_map(lambda i: i, [(0,), (1,)]) == [0, 1] and parallel._work is None
 
 
 def _series(n, seed):
@@ -167,6 +209,20 @@ class TestPooledEqualsSerial:
         assert all(not s.failed for s in serial.scores)
         assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
         assert pooled.winner == serial.winner
+
+    def test_select_model_with_a_survivor(self, monkeypatch):
+        # select-small input 1001: 0:M52 survives the screen, so its folds
+        # run after the leader's; leave-one-out folds fork nothing, so the
+        # CPU count must not reach the scores
+        ts = np.linspace(0.0, 1.0, 12)
+        noise = np.random.default_rng([1001, zlib.crc32(b"select-small")]).standard_normal(12)
+        data = Dataset(ts, 1000.0 * (np.sin(3.0 * np.pi * ts) + 0.6 * ts) + 50.0 * noise)
+        grid = CandidateGrid(degrees=(0,), families=("SE", "M52"))
+        serial, pooled = _serial_and_pooled(
+            monkeypatch, lambda: select_model(data, grid, opts=FitOptions(restarts=4)))
+        assert not any(s.failed or s.screened for s in serial.scores)
+        assert pooled.scores == serial.scores
+        assert _bits([s.mspe for s in pooled.scores]) == _bits([s.mspe for s in serial.scores])
 
     @pytest.fixture(scope="class")
     def bayes_case(self):
@@ -233,9 +289,8 @@ def test_cli_runs_with_one_blas_thread(blas_threads, tmp_path):
 
 @pytest.mark.parametrize("n", [7, 50, 90])
 def test_ml_fit_is_blas_thread_invariant(blas_threads, n):
-    # Pooled work runs with one BLAS thread and a library caller's serial
-    # work with all of them, so the profile gradient and the fit must not
-    # depend on the count.
+    # Pooled folds run with one BLAS thread and serial ones with all of them,
+    # so the profile gradient and the fit must not depend on the count.
     data = _series(n, 3)
     design = np.vander(data.ts, 2, increasing=True)
     runs = []

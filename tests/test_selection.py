@@ -1,5 +1,6 @@
 """Cross-validated model selection."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -147,11 +148,12 @@ class TestFixedThetaClosedForm:
             errs.append((data.ys[i] - pred) ** 2)
         assert got == pytest.approx(float(np.mean(errs)), rel=1e-8)
 
-    def test_no_fit_and_no_fold_refit(self, monkeypatch):
+    def test_no_fit_and_no_pool(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("fit_ml or _fold_error called")
+            raise AssertionError("fit_ml, fork_pool or _fold_error called")
 
         monkeypatch.setattr(selection, "fit_ml", refuse)
+        monkeypatch.setattr(selection, "fork_pool", refuse)
         monkeypatch.setattr(selection, "_fold_error", refuse)
         data = _wiggle()
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", 1.0, 1.0), 0.3)
@@ -231,12 +233,13 @@ def _ramp(n=9, seed=1):
 
 
 class TestNewtonFold:
-    """A fold refit is one guarded Newton step from the full-data optimum, or
-    the two-start refit where the guard rejects the step."""
+    """A fold refit is guarded Newton steps from the full-data optimum to the
+    fold's optimum, or the two-start refit where the guard rejects a step."""
 
     @staticmethod
     def _reject_every_step(monkeypatch):
-        # no step is shorter than radius 0 and also gains, so every fold falls back
+        # radius 0 rejects every step, and no fold here starts at its optimum,
+        # so every fold falls back
         monkeypatch.setattr(selection, "_NEWTON_RADIUS", 0.0)
 
     @pytest.mark.parametrize("scheme", ["loo", "osa"])
@@ -299,15 +302,18 @@ class TestNewtonFold:
             z = np.log([space.values(theta)[n] for n in space.positive])
             assert np.max(np.abs(z - z0)) <= selection._NEWTON_RADIUS
             assert evaluate(z)[0] > evaluate(z0)[0]
+            # it meets fit_ml's convergence rule
+            assert evaluate.converged(z, evaluate(z)[2])
             # the step's mean coefficients are the GLS ones at its kernel and noise
             assert theta.mean.coefficients == evaluate(z)[1]
         assert accepted >= data.n // 2
 
     @pytest.mark.parametrize("shift, accepted", [(0.0, True), (-1.0, False), (1.0, False)])
     def test_the_gain_ratio_guards_the_step(self, monkeypatch, shift, accepted):
-        # The value at the step is moved by `shift` nats.  The step gains about
-        # 0.02 nats on this fold, so a 1-nat error in either direction takes
-        # the ratio far out of [0.5, 1.5].
+        # The value at the first step is moved by `shift` nats.  The step gains
+        # about 0.02 nats on this fold, so a 1-nat error in either direction
+        # takes the ratio far out of [0.5, 1.5].  Unshifted, a second step
+        # meets the convergence rule.
         data = _wiggle(n=14, seed=2)
         full = selection.fit_ml(data, 0, "SE", _fast_opts()).theta
         head = Dataset(data.ts[1:], data.ys[1:])
@@ -323,7 +329,26 @@ class TestNewtonFold:
 
         monkeypatch.setattr(_LogObjective, "__call__", shifted)
         assert (selection._newton_fold(head, full) is not None) == accepted
-        assert len(calls) == 5
+        assert len(calls) == (9 if accepted else 5)
+
+    def test_steps_that_stop_short_of_the_optimum_fall_back(self, monkeypatch):
+        # the fold above needs two steps to meet the convergence rule
+        data = _wiggle(n=14, seed=2)
+        full = selection.fit_ml(data, 0, "SE", _fast_opts()).theta
+        head = Dataset(data.ts[1:], data.ys[1:])
+        assert selection._newton_fold(head, full) is not None
+        monkeypatch.setattr(selection, "_NEWTON_STEPS", 1)
+        assert selection._newton_fold(head, full) is None
+
+    def test_an_rq_step_past_nu_divergence_falls_back(self, monkeypatch):
+        # fit_ml refits such a fold under SE, so the step does not stand for it
+        data = _exp_climb()
+        full = selection.fit_ml(data, 0, "RQ", _fast_opts()).theta
+        heads = [Dataset(data.ts[train], data.ys[train]) for train, _ in selection._folds(data.n, "loo")]
+        accepted = [h for h in heads if selection._newton_fold(h, full) is not None]
+        assert accepted
+        monkeypatch.setattr(selection, "NU_DIVERGENCE", 0.5 * full.kernel.nu)
+        assert all(selection._newton_fold(h, full) is None for h in accepted)
 
     @pytest.mark.parametrize("alpha", [1e8, 1e-100], ids=["cap", "floor"])
     def test_an_optimum_on_the_box_bound_falls_back(self, monkeypatch, alpha):
@@ -336,24 +361,94 @@ class TestNewtonFold:
         theta = Hyperparams(MeanSpec((0.0,)), KernelSpec("SE", alpha, 1.0), 0.3)
         assert selection._newton_fold(Dataset(data.ts[1:], data.ys[1:]), theta) is None
 
-    def test_selection_constructs_no_process_pool(self, monkeypatch):
+
+class TestOneFoldPool:
+    """A one-step-ahead selection forks one pool: it runs the leader's folds,
+    then, in the same workers, each survivor's folds.  Leave-one-out folds
+    fork nothing."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Two CPUs, and the lists that collect each ProcessPoolExecutor's arguments and each `run`'s length."""
         import concurrent.futures
 
-        class Refused(concurrent.futures.ProcessPoolExecutor):
+        pools, runs = [], []
+        real_executor, real_pool = concurrent.futures.ProcessPoolExecutor, selection.fork_pool
+
+        class Counted(real_executor):
             def __init__(self, *args, **kwargs):
-                raise AssertionError("a process pool was constructed")
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        @contextlib.contextmanager
+        def fork_pool(fn, items):
+            with real_pool(fn, items) as run:
+                def counted(indices):
+                    runs.append(len(indices))
+                    return run(indices)
+
+                yield counted
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(selection, "fork_pool", fork_pool)
+        return pools, runs
+
+    def test_leave_one_out_constructs_no_process_pool(self, monkeypatch):
+        pools, runs = self._counted(monkeypatch)
         data = _wiggle()
         grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
-        for scheme in ("loo", "osa"):
-            assert not any(s.failed for s in select_model(data, grid, scheme=scheme, opts=_fast_opts()).scores)
+        assert not any(s.failed for s in select_model(data, grid, opts=_fast_opts()).scores)
         assert loo_mspe(data, 0, "SE", _fast_opts()) > 0
+        assert (pools, runs) == ([], [])
+
+    def test_one_pool_per_osa_selection(self, monkeypatch):
+        # one-step-ahead folds hold out rows 3 to n - 1; no candidate is screened
+        pools, runs = self._counted(monkeypatch)
+        data = _wiggle()
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        result = select_model(data, grid, scheme="osa", opts=_fast_opts())
+        assert not any(s.screened or s.failed for s in result.scores)
+        assert (len(pools), runs) == (1, [9 - 3] * 4)
         assert osa_mspe(data, 0, "SE", opts=_fast_opts()) > 0
+        assert (len(pools), runs) == (2, [9 - 3] * 5)
 
+    def test_pooled_equals_serial_with_a_failing_candidate(self, monkeypatch):
+        # 1:SE fails its refits in the folds trained on the first 4 and 6
+        # rows, which reject the step: the worker's FitError reports the
+        # first of them, and the other candidates are refit in the same pool
+        data = _wiggle()
+        real_fit, real_step = selection.fit_ml, selection._newton_fold
 
-class TestFoldRefits:
+        def fails(d, degree, family):
+            return (degree, family) == (1, "SE") and d.n in (4, 6)
+
+        def fit_ml(d, degree, family, opts):
+            if fails(d, degree, family):
+                raise FitError(f"no SE fit on the first {d.n} rows")
+            return real_fit(d, degree, family, opts)
+
+        def newton_fold(head, full_theta):
+            return None if fails(head, full_theta.mean.degree, full_theta.kernel.family) else real_step(head, full_theta)
+
+        monkeypatch.setattr(selection, "fit_ml", fit_ml)
+        monkeypatch.setattr(selection, "_newton_fold", newton_fold)
+        grid = CandidateGrid(degrees=(0, 1), families=("SE", "M52"))
+        _cpus(monkeypatch, 1)
+        serial = select_model(data, grid, scheme="osa", opts=_fast_opts())
+        pools, runs = self._counted(monkeypatch)
+        pooled = select_model(data, grid, scheme="osa", opts=_fast_opts())
+        assert (len(pools), runs) == (1, [9 - 3] * 4)
+        assert pooled.scores == serial.scores
+        for a, b in zip(pooled.scores, serial.scores):
+            assert np.asarray(a.mspe, dtype=float).tobytes() == np.asarray(b.mspe, dtype=float).tobytes()
+        others = list(pooled.scores)
+        se = others.pop(2)
+        assert se.failed and se.mspe is None and se.fit is None
+        assert se.error == "no SE fit on the first 4 rows"
+        assert all(not (s.failed or s.screened) and s.fit is not None for s in others)
+        assert pooled.winner == min(others, key=lambda s: s.mspe)
+
     def test_a_failing_leader_refits_every_other_candidate(self, monkeypatch):
         # the leader, 1:SE, fails its refits in the folds that leave out
         # observations 2 and 5: it reports the first of them, and every other
